@@ -86,7 +86,10 @@ def decompose_conjugates(w: Word, m: int) -> Optional[ConjugateDecomposition]:
     ]
     matched = {pos for pair in zero_pairs for pos in pair}
     unmatched = [pos for pos in range(1, len(w) + 1) if pos not in matched]
-    assert len(unmatched) == value, "norm over the star space must count unmatched letters"
+    if len(unmatched) != value:
+        raise RuntimeError(
+            f"star-space norm {value} is not the {len(unmatched)} unmatched letters"
+        )
 
     factors = []
     for pos in unmatched:
@@ -194,6 +197,33 @@ def _candidate_points(w: Word, space: Space) -> list[Point]:
     return pts
 
 
+def _encode(w: Word, code: dict[Point, int]) -> tuple[int, ...]:
+    return tuple(letter.sign * code[letter.point] for letter in w)
+
+
+def _candidate_bases(
+    code: dict[Point, int], c: Fraction, max_base_length: int, space: Space
+) -> list[Word]:
+    """The nonempty reduced words over the coded points with norm < c, in
+    canonical order.
+
+    N(w^-1) = N(w), so each inverse pair is normed once, at whichever of
+    the two comes first.
+    """
+    pending: dict[tuple[int, ...], Fraction] = {}
+    out = []
+    for base in enumerate_reduced_words(signed_alphabet(list(code)), max_base_length):
+        if len(base) == 0:
+            continue
+        key = _encode(base, code)
+        value = pending.pop(tuple(-x for x in reversed(key)), None)
+        if value is None:
+            value = pending[key] = graev_norm(base, space)
+        if value < c:
+            out.append(base)
+    return out
+
+
 def search_power_certificate(
     w: Word,
     c: Fraction,
@@ -206,35 +236,61 @@ def search_power_certificate(
 
     Candidate bases are the reduced words of bounded length and norm < c
     over the space's generators (over the interval: over the points that
-    occur in the target).  Returns a verified certificate, or None, which
-    means unknown within budget, never non-membership.
+    occur in the target), in the canonical order of
+    ``enumerate_reduced_words``.  Level k multiplies each new state of
+    level k-1, in the order found, by the n-th power of each candidate in
+    turn, so the certificate returned is the first one in breadth-first
+    candidate order.  Returns that certificate after verifying it, or None,
+    which means unknown within budget, never non-membership.
+
+    A state is a reduced word coded as a tuple of nonzero ints, the sign
+    times the 1-based index of the point, so a product only cancels at the
+    junction and the seen set hashes plain tuples.
     """
     _check_odd_exponent(n)
     if c <= 0:
         raise ValueError(f"the radius must be positive, got {c}")
+    if max_factors < 0 or max_base_length < 0:
+        raise ValueError(
+            f"search budgets must be non-negative, got {max_factors} factors "
+            f"and base length {max_base_length}"
+        )
     target = free_reduce(w, space.base)
     if len(target) == 0:
         return PowerCertificate(n=n, c=c, target=target, bases=())
 
-    alphabet = signed_alphabet(_candidate_points(w, space))
-    candidates = [
-        base
-        for base in enumerate_reduced_words(alphabet, max_base_length)
-        if len(base) > 0 and graev_norm(base, space) < c
-    ]
+    code = {p: i for i, p in enumerate(_candidate_points(w, space), 1)}
+    if any(letter.point not in code for letter in target):
+        return None  # products of candidate powers never leave the alphabet
+    goal = _encode(target, code)
+    candidates = _candidate_bases(code, c, max_base_length, space)
+    powers = []
+    for base in candidates:
+        power = _encode(word_power(base, n, space.base), code)
+        powers.append((power, tuple(-x for x in power)))
 
-    frontier: dict[Word, tuple[Word, ...]] = {Word(()): ()}
-    seen = {Word(())}
+    frontier: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
+    seen = {()}
     for _ in range(max_factors):
-        nxt: dict[Word, tuple[Word, ...]] = {}
+        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
         for state, used in frontier.items():
-            for base in candidates:
-                reached = concat(state, word_power(base, n, space.base), space.base)
-                if reached == target:
-                    return PowerCertificate(n=n, c=c, target=target, bases=used + (base,))
+            k = len(state)
+            for j, (power, inverse) in enumerate(powers):
+                # both sides are reduced, so letters cancel only at the junction
+                i, most = 0, min(k, len(power))
+                while i < most and state[k - 1 - i] == inverse[i]:
+                    i += 1
+                reached = state[: k - i] + power[i:]
+                if reached == goal:
+                    bases = tuple(candidates[x] for x in used + (j,))
+                    found = PowerCertificate(n=n, c=c, target=target, bases=bases)
+                    failure = power_certificate_failure(found, space)
+                    if failure is not None:
+                        raise RuntimeError(f"the search found a certificate that fails: {failure}")
+                    return found
                 if reached not in seen:
                     seen.add(reached)
-                    nxt[reached] = used + (base,)
+                    nxt[reached] = used + (j,)
         frontier = nxt
         if not frontier:
             break
@@ -289,14 +345,36 @@ def decomposition_to_json(d: ConjugateDecomposition) -> dict:
     }
 
 
+def _json_int(data: dict, key: str) -> int:
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"field {key!r} must be an integer")
+    return int(value)
+
+
+def _json_str(data: dict, key: str) -> str:
+    value = data[key]
+    if not isinstance(value, str):
+        raise ValueError(f"field {key!r} must be a string")
+    return value
+
+
+def _json_list(data: dict, key: str, item) -> list:
+    value = data[key]
+    if not isinstance(value, list) or not all(isinstance(x, item) for x in value):
+        kind = "strings" if item is str else "objects"
+        raise ValueError(f"field {key!r} must be a list of {kind}")
+    return value
+
+
 def decomposition_from_json(data: dict) -> ConjugateDecomposition:
-    m = int(data["m"])
+    m = _json_int(data, "m")
     space = star_space(m)
-    target = parse_word(data["target"], space)
+    target = parse_word(_json_str(data, "target"), space)
     factors = []
-    for entry in data["factors"]:
-        g = parse_word(entry["g"], space)
-        a_word = parse_word(entry["a"], space)
+    for entry in _json_list(data, "factors", dict):
+        g = parse_word(_json_str(entry, "g"), space)
+        a_word = parse_word(_json_str(entry, "a"), space)
         if len(a_word) != 1:
             raise ValueError(f"factor letter {entry['a']!r} must be a single letter")
         factors.append((g, a_word[0]))
@@ -314,8 +392,8 @@ def power_certificate_to_json(p: PowerCertificate) -> dict:
 
 def power_certificate_from_json(data: dict, space: Space) -> PowerCertificate:
     return PowerCertificate(
-        n=int(data["n"]),
-        c=parse_rational(data["c"]),
-        target=parse_word(data["target"], space),
-        bases=tuple(parse_word(x, space) for x in data["bases"]),
+        n=_json_int(data, "n"),
+        c=parse_rational(_json_str(data, "c")),
+        target=parse_word(_json_str(data, "target"), space),
+        bases=tuple(parse_word(x, space) for x in _json_list(data, "bases", str)),
     )

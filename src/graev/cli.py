@@ -89,6 +89,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     with open(args.certificate, "r", encoding="utf-8") as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError("the certificate file must hold a JSON object")
     if "factors" in data:
         failure = conjugate_decomposition_failure(decomposition_from_json(data))
     elif "bases" in data:

@@ -4,6 +4,7 @@ import pytest
 
 from fractions import Fraction
 
+import graev.certificates as certificates
 from graev.certificates import (
     ConjugateDecomposition,
     PowerCertificate,
@@ -25,7 +26,7 @@ from graev.certificates import (
 )
 from graev.maps import PointMap
 from graev.norm import graev_norm
-from graev.spaces import INTERVAL, star_space
+from graev.spaces import INTERVAL, FiniteSpace, star_space
 from graev.suite import (
     all_reduced_words,
     random_conjugate_product,
@@ -33,7 +34,15 @@ from graev.suite import (
     random_reduced_word,
     random_star_contraction,
 )
-from graev.words import Letter, Word, parse_word
+from graev.words import (
+    Letter,
+    Word,
+    concat,
+    enumerate_reduced_words,
+    free_reduce,
+    parse_word,
+    signed_alphabet,
+)
 
 STAR2 = star_space(2)
 STAR3 = star_space(3)
@@ -69,6 +78,14 @@ def test_decompose_two_generators_without_zero_pairs():
 
 def test_decompose_refuses_words_outside_the_ball():
     assert decompose_conjugates(parse_word("e1 e2 e3", STAR3), 3) is None
+
+
+def test_decompose_raises_when_the_norm_miscounts(monkeypatch):
+    # an explicit error, not an assert, so it survives python -O
+    real = certificates.norm_dp
+    monkeypatch.setattr(certificates, "norm_dp", lambda w, space: (Fraction(1), real(w, space)[1]))
+    with pytest.raises(RuntimeError, match="unmatched letters"):
+        decompose_conjugates(parse_word("e1 e2", STAR3), 3)
 
 
 def test_decompose_empty_word():
@@ -280,6 +297,9 @@ def test_search_reports_unknown_for_single_generator():
         )
         is None
     )
+    # a letter outside the space's points is in no product of candidate powers
+    foreign = Word((Letter("e3"),) * 3)
+    assert search_power_certificate(foreign, Fraction(2), 3, 2, 1, STAR2) is None
 
 
 def test_search_on_identity_returns_empty_certificate():
@@ -313,6 +333,101 @@ def test_search_results_always_verify():
         )
         if found is not None:
             assert verify_power_certificate(found, STAR2)
+
+
+# The Word-level breadth-first search the library used before states were
+# coded as int tuples, kept verbatim as the reference for the fast search.
+def _reference_candidate_points(w, space):
+    if isinstance(space, FiniteSpace):
+        return [p for p in space.points if p != space.base]
+    pts = sorted({letter.point for letter in w} - {space.base})
+    return pts
+
+
+def _reference_search(w, c, n, max_factors, max_base_length, space):
+    target = free_reduce(w, space.base)
+    if len(target) == 0:
+        return PowerCertificate(n=n, c=c, target=target, bases=())
+
+    alphabet = signed_alphabet(_reference_candidate_points(w, space))
+    candidates = [
+        base
+        for base in enumerate_reduced_words(alphabet, max_base_length)
+        if len(base) > 0 and graev_norm(base, space) < c
+    ]
+
+    frontier: dict[Word, tuple[Word, ...]] = {Word(()): ()}
+    seen = {Word(())}
+    for _ in range(max_factors):
+        nxt: dict[Word, tuple[Word, ...]] = {}
+        for state, used in frontier.items():
+            for base in candidates:
+                reached = concat(state, word_power(base, n, space.base), space.base)
+                if reached == target:
+                    return PowerCertificate(n=n, c=c, target=target, bases=used + (base,))
+                if reached not in seen:
+                    seen.add(reached)
+                    nxt[reached] = used + (base,)
+        frontier = nxt
+        if not frontier:
+            break
+    return None
+
+
+def _grid_targets(rng, space, c, points):
+    """Targets for one budget cell: a product of cubes of admissible bases;
+    a word whose exponent sums rule every such product out; a^9 x^3 for a
+    letter a and an admissible base x, which has several certificates when
+    a a is admissible (bases a, a a, x or a a, a, x); and x^3 for a base x
+    with N(x) = c, which x itself does not certify."""
+    alphabet = signed_alphabet(points)
+    words = [x for x in enumerate_reduced_words(alphabet, 3) if len(x)]
+    pool = [x for x in words if len(x) <= 2 and graev_norm(x, space) < c]
+    found = Word(())
+    for _ in range(rng.randint(1, 3)):
+        found = concat(found, word_power(rng.choice(pool), 3, space.base), space.base)
+    a = Word((rng.choice(alphabet),))
+    x = rng.choice(pool)
+    repeated = concat(word_power(a, 9, space.base), word_power(x, 3, space.base), space.base)
+    edge = word_power(rng.choice([x for x in words if graev_norm(x, space) == c]), 3, space.base)
+    while True:
+        letters = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 5)))
+        unknown = free_reduce(Word(letters), space.base)
+        if any(exponent_sum(unknown, p) % 3 for p in points):
+            return found, unknown, repeated, edge
+
+
+def test_search_matches_the_reference_search():
+    rng = random.Random(11)
+    outcomes = set()
+    # over star2 the radius 3 admits e1 e1, so a^9 x^3 has several certificates
+    for space, c in ((STAR2, Fraction(3)), (STAR3, Fraction(2)), (INTERVAL, None)):
+        for max_factors in range(4):
+            for max_base_length in range(1, 4):
+                if space is INTERVAL:
+                    points = sorted(Fraction(x, 10) for x in rng.sample(range(1, 10), 2))
+                    c = points[1]  # the norm of the larger letter
+                else:
+                    points = [p for p in space.points if p != space.base]
+                for target in _grid_targets(rng, space, c, points):
+                    args = (target, c, 3, max_factors, max_base_length, space)
+                    expected = _reference_search(*args)
+                    got = search_power_certificate(*args)
+                    assert (got is None) == (expected is None), args
+                    if got is not None:
+                        assert got.bases == expected.bases, args
+                        assert power_certificate_failure(got, space) is None
+                    outcomes.add((space.kind, got is not None))
+    assert len(outcomes) == 4, "the grid must reach both verdicts on both kinds of space"
+
+
+def test_search_rejects_negative_budgets():
+    target = parse_word("e1 e1 e1", STAR2)
+    with pytest.raises(ValueError, match="non-negative"):
+        search_power_certificate(target, Fraction(2), 3, -1, 1, STAR2)
+    with pytest.raises(ValueError, match="non-negative"):
+        search_power_certificate(target, Fraction(2), 3, 1, -3, STAR2)
+    assert search_power_certificate(target, Fraction(2), 3, 0, 0, STAR2) is None
 
 
 def test_exponent_sum_examples():
@@ -363,6 +478,13 @@ def test_decomposition_json_roundtrip():
         "factors": [{"g": "e1", "a": "e2"}],
     }
     assert decomposition_from_json(payload) == decomposition
+
+
+def test_json_loaders_reject_null_lists():
+    with pytest.raises(ValueError, match="'bases' must be a list of strings"):
+        power_certificate_from_json({"n": 3, "c": "1", "target": "", "bases": None}, INTERVAL)
+    with pytest.raises(ValueError, match="'factors' must be a list of objects"):
+        decomposition_from_json({"m": 3, "target": "", "factors": None})
 
 
 def test_power_certificate_json_roundtrip():

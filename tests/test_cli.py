@@ -179,6 +179,57 @@ def test_search_reports_unknown(capsys):
     assert (code, out) == (1, "UNKNOWN\n")
 
 
+def test_search_rejects_negative_budgets(capsys):
+    for flag, value in (("--budget-factors", "-1"), ("--budget-length", "-3")):
+        code, out, err = run_cli(
+            capsys, "search", "--space", "lemma32-m2", "e1 e1 e1", "--c", "2", flag, value
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: search budgets must be non-negative")
+        assert err.count("\n") == 1
+
+
+def test_search_accepts_zero_budgets(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "search",
+        "--space",
+        "lemma32-m2",
+        "e1 e1 e1",
+        "--c",
+        "2",
+        "--budget-factors",
+        "0",
+        "--budget-length",
+        "0",
+    )
+    assert (code, out) == (1, "UNKNOWN\n")
+
+
+def test_verify_malformed_certificate_files_are_usage_errors(capsys, tmp_path):
+    power = {"n": 3, "c": "1/2", "target": "2/5 2/5 2/5", "bases": ["2/5"]}
+    decomposition = {"m": 3, "target": "e1 e2 e1^-1", "factors": [{"g": "e1", "a": "e2"}]}
+    cases = [
+        (dict(power, bases=None), "'bases' must be a list of strings"),
+        (dict(power, bases=["2/5", 3]), "'bases' must be a list of strings"),
+        (dict(power, target=None), "'target' must be a string"),
+        (dict(power, c=0.5), "'c' must be a string"),
+        (dict(power, n=None), "'n' must be an integer"),
+        (dict(decomposition, factors=None), "'factors' must be a list of objects"),
+        (dict(decomposition, factors=["e1"]), "'factors' must be a list of objects"),
+        (dict(decomposition, factors=[{"g": None, "a": "e2"}]), "'g' must be a string"),
+        (dict(decomposition, m=None), "'m' must be an integer"),
+        ([power], "must hold a JSON object"),
+        (None, "must hold a JSON object"),
+    ]
+    path = tmp_path / "cert.json"
+    for payload, message in cases:
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out) == (2, ""), payload
+        assert message in err and err.count("\n") == 1, (payload, err)
+
+
 def test_check_sigma_accepts(capsys):
     code, out, _ = run_cli(capsys, "check-sigma", "3 2 1")
     assert (code, out) == (0, "true\n")
