@@ -18,10 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import neg
 from typing import Optional
 
 from .maps import PointMap, check_contraction, extend_endomorphism
-from .norm import graev_norm, norm_dp, pair_cost
+from .norm import fixed_cost, graev_norm, interval_fill, norm_dp, pair_cost
 from .rationals import format_rational, parse_rational
 from .spaces import FiniteSpace, Space, star_space
 from .words import (
@@ -201,25 +203,57 @@ def _encode(w: Word, code: dict[Point, int]) -> tuple[int, ...]:
     return tuple(letter.sign * code[letter.point] for letter in w)
 
 
+def _invert(state: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(neg, reversed(state)))
+
+
+def _cost_table(
+    code: dict[Point, int], space: Space
+) -> tuple[dict[int, int], dict[int, dict[int, int]], int]:
+    """The fix and pair costs of ``norm_dp`` over the coded signed alphabet,
+    scaled to integers by the lcm of their denominators; returns
+    (fix, pair, scale)."""
+    letters = {sign * i: Letter(p, sign) for p, i in code.items() for sign in (1, -1)}
+    fix = {x: fixed_cost(a, space) for x, a in letters.items()}
+    pair = {x: {y: pair_cost(a, b, space) for y, b in letters.items()} for x, a in letters.items()}
+    scale = lcm(
+        *(v.denominator for v in fix.values()),
+        *(v.denominator for row in pair.values() for v in row.values()),
+    )
+
+    def scaled(v: Fraction) -> int:
+        return v.numerator * (scale // v.denominator)
+
+    return (
+        {x: scaled(v) for x, v in fix.items()},
+        {x: {y: scaled(v) for y, v in row.items()} for x, row in pair.items()},
+        scale,
+    )
+
+
 def _candidate_bases(
     code: dict[Point, int], c: Fraction, max_base_length: int, space: Space
 ) -> list[Word]:
     """The nonempty reduced words over the coded points with norm < c, in
     canonical order.
 
-    N(w^-1) = N(w), so each inverse pair is normed once, at whichever of
-    the two comes first.
+    Each norm is the ``norm_dp`` fill over one integer cost table built per
+    call, compared with c times the table's scale.  N(w^-1) = N(w), so each
+    inverse pair is normed once, at whichever of the two comes first.
     """
-    pending: dict[tuple[int, ...], Fraction] = {}
+    fix, pair, scale = _cost_table(code, space)
+    limit = c.numerator * scale  # value / scale < c, in integers
+    pending: dict[tuple[int, ...], int] = {}
     out = []
     for base in enumerate_reduced_words(signed_alphabet(list(code)), max_base_length):
         if len(base) == 0:
             continue
         key = _encode(base, code)
-        value = pending.pop(tuple(-x for x in reversed(key)), None)
+        value = pending.pop(_invert(key), None)
         if value is None:
-            value = pending[key] = graev_norm(base, space)
-        if value < c:
+            costs = [[pair[x][y] for y in key] for x in key]
+            value = pending[key] = interval_fill([fix[x] for x in key], costs, 0)[0]
+        if value * c.denominator < limit:
             out.append(base)
     return out
 
@@ -245,7 +279,11 @@ def search_power_certificate(
 
     A state is a reduced word coded as a tuple of nonzero ints, the sign
     times the 1-based index of the point, so a product only cancels at the
-    junction and the seen set hashes plain tuples.
+    junction and the seen set hashes plain tuples.  The last factor is
+    looked up, not multiplied: n-th roots in a free group are unique, so a
+    state s reaches the target with at most one candidate, the one whose
+    power is s^-1 * target.  Only levels below ``max_factors`` are
+    expanded and stored.
     """
     _check_odd_exponent(n)
     if c <= 0:
@@ -265,29 +303,43 @@ def search_power_certificate(
     goal = _encode(target, code)
     candidates = _candidate_bases(code, c, max_base_length, space)
     powers = []
-    for base in candidates:
+    root: dict[tuple[int, ...], int] = {}
+    for j, base in enumerate(candidates):
         power = _encode(word_power(base, n, space.base), code)
-        powers.append((power, tuple(-x for x in power)))
+        if root.setdefault(power, j) != j:
+            raise RuntimeError(
+                f"candidates '{format_word(candidates[root[power]])}' and "
+                f"'{format_word(base)}' have the same power (exponent {n})"
+            )
+        powers.append((power, tuple(map(neg, power))))
 
     frontier: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
     seen = {()}
-    for _ in range(max_factors):
+    for level in range(1, max_factors + 1):
+        for state, used in frontier.items():
+            # s^-1 * goal: only the common prefix of s and goal cancels
+            i, most = 0, min(len(state), len(goal))
+            while i < most and state[i] == goal[i]:
+                i += 1
+            j = root.get(_invert(state[i:]) + goal[i:])
+            if j is not None:
+                bases = tuple(candidates[x] for x in used + (j,))
+                found = PowerCertificate(n=n, c=c, target=target, bases=bases)
+                failure = power_certificate_failure(found, space)
+                if failure is not None:
+                    raise RuntimeError(f"the search found a certificate that fails: {failure}")
+                return found
+        if level == max_factors:
+            break
         nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
         for state, used in frontier.items():
             k = len(state)
-            for j, (power, inverse) in enumerate(powers):
+            for j, (power, negated) in enumerate(powers):
                 # both sides are reduced, so letters cancel only at the junction
                 i, most = 0, min(k, len(power))
-                while i < most and state[k - 1 - i] == inverse[i]:
+                while i < most and state[k - 1 - i] == negated[i]:
                     i += 1
                 reached = state[: k - i] + power[i:]
-                if reached == goal:
-                    bases = tuple(candidates[x] for x in used + (j,))
-                    found = PowerCertificate(n=n, c=c, target=target, bases=bases)
-                    failure = power_certificate_failure(found, space)
-                    if failure is not None:
-                        raise RuntimeError(f"the search found a certificate that fails: {failure}")
-                    return found
                 if reached not in seen:
                     seen.add(reached)
                     nxt[reached] = used + (j,)

@@ -35,7 +35,6 @@ from .maps import (
 from .norm import graev_metric, is_sigma, matching_to_json, norm_dp
 from .rationals import format_rational, parse_rational
 from .spaces import Space, resolve_space, star_space
-from .suite import run_suite
 from .words import format_word, free_reduce, parse_word
 
 
@@ -165,6 +164,8 @@ def _cmd_extend_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
+    from .suite import run_suite  # imported here: it costs every other command's start-up
+
     results = run_suite(select=args.select, seed=args.seed, cases=args.cases)
     ok = all(r.passed for r in results)
     if args.json:

@@ -45,6 +45,13 @@ class PointMap:
     scale: Optional[Fraction] = None
     breakpoints: Optional[tuple[tuple[Fraction, Fraction], ...]] = None
 
+    def __post_init__(self) -> None:
+        backing = {TABLE: self.table, AFFINE: self.scale, PIECEWISE: self.breakpoints}
+        if self.kind not in backing:
+            raise ValueError(f"unknown point-map kind {self.kind!r}")
+        if backing[self.kind] is None:
+            raise ValueError(f"a point map of kind {self.kind!r} needs its {self.kind} data")
+
     @staticmethod
     def from_table(domain: Space, codomain: Space, table: Mapping[Point, Point]) -> "PointMap":
         if domain.base not in table:
@@ -82,7 +89,6 @@ class PointMap:
 
     def apply(self, p: Point) -> Point:
         if self.kind == TABLE:
-            assert self.table is not None
             try:
                 return self.table[p]
             except KeyError:
@@ -90,9 +96,7 @@ class PointMap:
         if not isinstance(p, Fraction) or not 0 <= p <= 1:
             raise ValueError(f"point {p!r} is outside [0, 1]")
         if self.kind == AFFINE:
-            assert self.scale is not None
             return self.scale * p
-        assert self.breakpoints is not None
         xs = [x for x, _ in self.breakpoints]
         idx = bisect_right(xs, p) - 1
         if idx == len(xs) - 1:
@@ -117,16 +121,13 @@ def check_contraction(h: PointMap) -> bool:
     exact for continuous piecewise-linear maps).
     """
     if h.kind == TABLE:
-        assert h.table is not None
         keys = sorted(h.table, key=str)
         for p, q in itertools.combinations(keys, 2):
             if h.codomain.dist(h.table[p], h.table[q]) > h.domain.dist(p, q):
                 return False
         return True
     if h.kind == AFFINE:
-        assert h.scale is not None
         return abs(h.scale) <= 1
-    assert h.breakpoints is not None
     for (x0, y0), (x1, y1) in zip(h.breakpoints, h.breakpoints[1:]):
         if abs(y1 - y0) > x1 - x0:
             return False
@@ -289,8 +290,7 @@ def check_cross_extension(
     """
     if (tr.space_a, tr.space_b) != (s1, s2):
         raise ValueError("translation does not connect the given spaces")
-    validate_translation(tr)
-    assert isinstance(s1, FiniteSpace) and isinstance(s2, FiniteSpace)
+    validate_translation(tr)  # both spaces are finite from here on
 
     def to_word_over_s1(point2: str) -> Word:
         if point2 == s2.base:
@@ -319,12 +319,9 @@ def check_cross_extension(
 
 def map_to_json(h: PointMap) -> dict:
     if h.kind == TABLE:
-        assert h.table is not None
         return {"map": {str(p): str(q) for p, q in h.table.items()}}
     if h.kind == AFFINE:
-        assert h.scale is not None
         return {"scale": format_rational(h.scale)}
-    assert h.breakpoints is not None
     return {
         "breakpoints": [[format_rational(x), format_rational(y)] for x, y in h.breakpoints]
     }

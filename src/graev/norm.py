@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TypeVar
 
 from .rationals import format_rational
 from .spaces import Space, tilde_dist
@@ -28,6 +28,8 @@ from .words import Letter, Word, concat, free_reduce, invert_word
 
 SIGMA_ENUM_MAX = 10
 BRUTE_FORCE_MAX = 10
+
+Num = TypeVar("Num")  # an exact number type: Fraction or int
 
 
 @dataclass(frozen=True)
@@ -181,12 +183,9 @@ def norm_bruteforce(w: Word, space: Space) -> Fraction:
     cost = [
         [tilde_dist(letters[i], inverses[j], space) for j in range(k)] for i in range(k)
     ]
-    best: Fraction | None = None
-    for matching in enumerate_sigma(k):
-        total = sum(cost[i][matching.map[i] - 1] for i in range(k))
-        if best is None or total < best:
-            best = total
-    assert best is not None
+    best = min(
+        sum(cost[i][matching.map[i] - 1] for i in range(k)) for matching in enumerate_sigma(k)
+    )
     return best / 2
 
 
@@ -211,24 +210,7 @@ def norm_dp(w: Word, space: Space) -> tuple[Fraction, SigmaMatching]:
         [tilde_dist(letters[t], inverses[j], space) if t < j else Fraction(0) for j in range(k)]
         for t in range(k)
     ]
-
-    zero = Fraction(0)
-    cost = [[zero] * k for _ in range(k)]
-    back: list[list[int]] = [[-1] * k for _ in range(k)]  # -1: x_j unmatched, else t
-
-    def c(i: int, j: int) -> Fraction:
-        return cost[i][j] if i <= j else zero
-
-    for span in range(1, k + 1):
-        for i in range(0, k - span + 1):
-            j = i + span - 1
-            best = c(i, j - 1) + fix[j]
-            choice = -1
-            for t in range(i, j):
-                cand = c(i, t - 1) + pair[t][j] + c(t + 1, j - 1)
-                if cand < best:
-                    best, choice = cand, t
-            cost[i][j], back[i][j] = best, choice
+    value, back = interval_fill(fix, pair, Fraction(0))
 
     image = list(range(1, k + 1))
     stack = [(0, k - 1)]
@@ -243,7 +225,36 @@ def norm_dp(w: Word, space: Space) -> tuple[Fraction, SigmaMatching]:
             image[t], image[j] = j + 1, t + 1
             stack.append((i, t - 1))
             stack.append((t + 1, j - 1))
-    return cost[0][k - 1], SigmaMatching(k, tuple(image))
+    return value, SigmaMatching(k, tuple(image))
+
+
+def interval_fill(
+    fix: Sequence[Num], pair: Sequence[Sequence[Num]], zero: Num
+) -> tuple[Num, list[list[int]]]:
+    """The interval DP of ``norm_dp`` over given costs of any exact number type.
+
+    ``fix[j]`` is the cost of leaving position j unmatched and ``pair[t][j]``
+    (t < j) that of matching t with j.  Returns the optimal total over all k
+    positions and the choice table: ``back[i][j]`` is -1 when x_j stays
+    unmatched in the optimum of positions i..j, else the position t it is
+    matched with.  The cost table is padded, ``cost[i][j + 1]`` holding
+    C(i, j), so the empty range C(i, i - 1) is the ``zero`` at ``cost[i][i]``.
+    """
+    k = len(fix)
+    cost = [[zero] * (k + 1) for _ in range(k + 1)]
+    back = [[-1] * k for _ in range(k)]
+    for span in range(1, k + 1):
+        for i in range(0, k - span + 1):
+            j = i + span - 1
+            row = cost[i]
+            best = row[j] + fix[j]
+            choice = -1
+            for t in range(i, j):
+                cand = row[t] + pair[t][j] + cost[t + 1][j]
+                if cand < best:
+                    best, choice = cand, t
+            row[j + 1], back[i][j] = best, choice
+    return cost[0][k], back
 
 
 def graev_norm(w: Word, space: Space) -> Fraction:

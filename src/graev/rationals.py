@@ -11,6 +11,8 @@ from fractions import Fraction
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``p/q``, integer, or decimal text (``0.4`` becomes ``2/5``)."""
+    if not isinstance(text, str):
+        raise ValueError(f"bad rational {text!r}: expected text such as '2/5'")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):

@@ -114,9 +114,8 @@ def validate_metric(space: Space) -> Optional[MetricViolation]:
     are checked exhaustively: nonnegativity, d(a,b) = 0 iff a = b, symmetry,
     and the triangle inequality over all triples.
     """
-    if space.kind == "interval":
-        return None
-    assert isinstance(space, FiniteSpace)
+    if not isinstance(space, FiniteSpace):
+        return None  # the interval
     pts = space.points
     for a in pts:
         if space.table[(a, a)] != 0:
@@ -188,9 +187,8 @@ def grid_points(m: int) -> list[Fraction]:
 
 
 def space_to_json(space: Space) -> dict:
-    if space.kind == "interval":
+    if not isinstance(space, FiniteSpace):
         return {"kind": "interval"}
-    assert isinstance(space, FiniteSpace)
     dist = {
         f"{a},{b}": format_rational(space.table[(a, b)])
         for a, b in itertools.combinations(space.points, 2)
@@ -201,6 +199,8 @@ def space_to_json(space: Space) -> dict:
 def space_from_json(data: dict) -> Space:
     """Decode a space; the symmetric closure is applied and the metric
     axioms are validated, so loading an invalid table fails."""
+    if not isinstance(data, dict):
+        raise ValueError("a space file must hold a JSON object")
     kind = data.get("kind")
     if kind == "interval":
         return INTERVAL
@@ -208,10 +208,16 @@ def space_from_json(data: dict) -> Space:
         raise ValueError(f"unknown space kind {kind!r}")
     try:
         base = data["base"]
-        points = tuple(data["points"])
+        points = data["points"]
         raw = data["dist"]
     except KeyError as missing:
         raise ValueError(f"space file is missing field {missing}") from None
+    if not isinstance(base, str):
+        raise ValueError("field 'base' must be a string")
+    if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
+        raise ValueError("field 'points' must be a list of strings")
+    if not isinstance(raw, dict):
+        raise ValueError("field 'dist' must be an object")
     for p in points:
         if "," in p:
             raise ValueError(f"point name {p!r} may not contain a comma")
@@ -221,7 +227,7 @@ def space_from_json(data: dict) -> Space:
         if len(parts) != 2:
             raise ValueError(f"bad distance key {key!r}, expected 'a,b'")
         entries[(parts[0], parts[1])] = parse_rational(value)
-    return FiniteSpace.from_table(base, points, entries, validate=True)
+    return FiniteSpace.from_table(base, tuple(points), entries, validate=True)
 
 
 def load_space(path: str) -> Space:

@@ -550,7 +550,6 @@ def extension_suite(seed: int, cases: int) -> list[PropertyResult]:
     def slopes_check(rng, index):
         partial = random_partial_contraction(rng)
         extended = extend_partial_contraction(partial)
-        assert extended.breakpoints is not None
         for (x0, y0), (x1, y1) in zip(extended.breakpoints, extended.breakpoints[1:]):
             if abs(y1 - y0) > x1 - x0:
                 return f"segment slope above 1 between {x0} and {x1}"
@@ -711,6 +710,8 @@ SELECTIONS: dict[str, Callable[[int, int], list[PropertyResult]]] = {
 
 
 def run_suite(select: str = "all", seed: int = 0, cases: int = 100) -> list[PropertyResult]:
+    if cases < 0:
+        raise ValueError(f"the case count must be non-negative, got {cases}")
     if select == "all":
         names = list(SELECTIONS)
     elif select in SELECTIONS:

@@ -26,7 +26,7 @@ from graev.certificates import (
 )
 from graev.maps import PointMap
 from graev.norm import graev_norm
-from graev.spaces import INTERVAL, FiniteSpace, star_space
+from graev.spaces import INTERVAL, FiniteSpace, chain_space, star_space
 from graev.suite import (
     all_reduced_words,
     random_conjugate_product,
@@ -400,25 +400,67 @@ def _grid_targets(rng, space, c, points):
 def test_search_matches_the_reference_search():
     rng = random.Random(11)
     outcomes = set()
+    cells = [(f, length) for f in range(4) for length in range(1, 4)]
     # over star2 the radius 3 admits e1 e1, so a^9 x^3 has several certificates
     for space, c in ((STAR2, Fraction(3)), (STAR3, Fraction(2)), (INTERVAL, None)):
-        for max_factors in range(4):
-            for max_base_length in range(1, 4):
-                if space is INTERVAL:
-                    points = sorted(Fraction(x, 10) for x in rng.sample(range(1, 10), 2))
-                    c = points[1]  # the norm of the larger letter
-                else:
-                    points = [p for p in space.points if p != space.base]
-                for target in _grid_targets(rng, space, c, points):
-                    args = (target, c, 3, max_factors, max_base_length, space)
-                    expected = _reference_search(*args)
-                    got = search_power_certificate(*args)
-                    assert (got is None) == (expected is None), args
-                    if got is not None:
-                        assert got.bases == expected.bases, args
-                        assert power_certificate_failure(got, space) is None
-                    outcomes.add((space.kind, got is not None))
+        # four factors over single letters: the lookup then follows three stored levels
+        for max_factors, max_base_length in cells + ([(4, 1)] if space is not INTERVAL else []):
+            if space is INTERVAL:
+                points = sorted(Fraction(x, 10) for x in rng.sample(range(1, 10), 2))
+                c = points[1]  # the norm of the larger letter
+            else:
+                points = [p for p in space.points if p != space.base]
+            targets = list(_grid_targets(rng, space, c, points))
+            if max_factors == 4:
+                product = Word(())
+                for _ in range(4):
+                    letter = Word((rng.choice(signed_alphabet(points)),))
+                    product = concat(product, word_power(letter, 3, space.base), space.base)
+                targets.append(product)
+            for target in targets:
+                args = (target, c, 3, max_factors, max_base_length, space)
+                expected = _reference_search(*args)
+                got = search_power_certificate(*args)
+                assert (got is None) == (expected is None), args
+                if got is not None:
+                    assert got.bases == expected.bases, args
+                    assert power_certificate_failure(got, space) is None
+                outcomes.add((space.kind, got is not None))
     assert len(outcomes) == 4, "the grid must reach both verdicts on both kinds of space"
+
+
+def test_candidates_are_the_bases_of_norm_below_c():
+    # the integer cost table must select exactly graev_norm < c, ties
+    # included; the interval points have coprime denominators, so every
+    # cost denominator counts towards the scale, and the pair a b^-1 of the
+    # triangle costs d(a, b) = 2/3, a denominator no fixed cost has
+    distances = {("e", "a"): Fraction(1), ("e", "b"): Fraction(1), ("a", "b"): Fraction(2, 3)}
+    triangle = FiniteSpace.from_table("e", ("e", "a", "b"), distances)
+    cases = (
+        (triangle, ["a", "b"], 3),
+        (STAR2, [p for p in STAR2.points if p != "e"], 4),
+        (STAR3, [p for p in STAR3.points if p != "e"], 3),
+        (chain_space(4), [f"f{i}" for i in range(1, 5)], 3),
+        (INTERVAL, [Fraction(1, 3), Fraction(2, 5), Fraction(6, 7)], 3),
+    )
+    for space, points, max_base_length in cases:
+        code = {p: i for i, p in enumerate(points, 1)}
+        words = [x for x in enumerate_reduced_words(signed_alphabet(points), max_base_length) if len(x)]
+        norms = {x: graev_norm(x, space) for x in words}
+        values = sorted(set(norms.values()))
+        # every candidate norm as the radius, and a radius between each two
+        radii = values + [(a + b) / 2 for a, b in zip(values, values[1:])] + [values[-1] + 1]
+        for c in radii:
+            expected = [x for x in words if norms[x] < c]
+            assert certificates._candidate_bases(code, c, max_base_length, space) == expected, (space, c)
+
+
+def test_search_raises_when_two_candidates_share_a_power(monkeypatch):
+    # n-th roots are unique in a free group, so a shared power is a defect;
+    # an explicit error, not an assert, so it survives python -O
+    monkeypatch.setattr(certificates, "word_power", lambda w, n, base: Word(w.letters[:1] * n))
+    with pytest.raises(RuntimeError, match="have the same power"):
+        search_power_certificate(parse_word("e1 e1 e1", STAR2), Fraction(3), 3, 1, 2, STAR2)
 
 
 def test_search_rejects_negative_budgets():

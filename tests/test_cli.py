@@ -1,8 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from graev.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # most transcripts drive main() in process; one subprocess test covers the
 # python -m entry point end to end
@@ -230,6 +234,35 @@ def test_verify_malformed_certificate_files_are_usage_errors(capsys, tmp_path):
         assert message in err and err.count("\n") == 1, (payload, err)
 
 
+def test_malformed_space_files_are_usage_errors(capsys, tmp_path):
+    space = {"kind": "finite", "base": "e", "points": ["e", "a"], "dist": {"e,a": "1"}}
+    cases = [
+        (dict(space, dist={"e,a": 1}), "bad rational 1"),
+        (dict(space, points="ea"), "'points' must be a list of strings"),
+        (dict(space, points=["e", 1]), "'points' must be a list of strings"),
+        (dict(space, base=None), "'base' must be a string"),
+        (dict(space, dist=["e,a", "1"]), "'dist' must be an object"),
+        ([space], "must hold a JSON object"),
+    ]
+    path = tmp_path / "space.json"
+    for payload, message in cases:
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "norm", "--space", str(path), "a")
+        assert (code, out) == (2, ""), payload
+        assert message in err and err.count("\n") == 1, (payload, err)
+    path.write_text(json.dumps(space))
+    assert run_cli(capsys, "norm", "--space", str(path), "a") == (0, "1\n", "")
+
+
+def test_numeric_rationals_in_map_files_are_usage_errors(capsys, tmp_path):
+    path = tmp_path / "map.json"
+    for payload in ({"scale": 0.5}, {"points": [0, 1], "values": ["0", "1/2"]}):
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "extend-map", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad rational") and err.count("\n") == 1
+
+
 def test_check_sigma_accepts(capsys):
     code, out, _ = run_cli(capsys, "check-sigma", "3 2 1")
     assert (code, out) == (0, "true\n")
@@ -317,6 +350,23 @@ def test_suite_json_mode(capsys):
         "oracle-dp-equals-bruteforce",
         "oracle-matching-consistent",
     ]
+
+
+def test_suite_rejects_negative_case_counts(capsys):
+    code, out, err = run_cli(capsys, "suite", "--select", "sigma", "--cases", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: the case count must be non-negative, got -1\n"
+
+
+def test_cli_import_leaves_the_suite_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, graev.cli; print('graev.suite' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_bad_space_argument(capsys):

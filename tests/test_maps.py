@@ -75,6 +75,14 @@ def test_map_must_fix_base_point():
         PointMap.from_table(STAR3, STAR3, {"e": "e1", "e1": "e", "e2": "e2", "e3": "e3"})
 
 
+def test_map_needs_the_data_of_its_kind():
+    # an explicit error, not an assert, so it survives python -O
+    with pytest.raises(ValueError, match="kind 'affine' needs"):
+        PointMap(INTERVAL, INTERVAL, "affine", table={Fraction(0): Fraction(0)})
+    with pytest.raises(ValueError, match="unknown point-map kind"):
+        PointMap(INTERVAL, INTERVAL, "spline")
+
+
 def test_map_application_outside_domain():
     h = grid_map(2)
     with pytest.raises(ValueError, match="outside"):
