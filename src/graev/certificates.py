@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import neg
 from typing import Optional
 
 from .maps import PointMap, check_contraction, extend_endomorphism
-from .norm import fixed_cost, graev_norm, interval_fill, norm_dp, pair_cost
-from .rationals import format_rational, parse_rational
+from .norm import graev_norm, integer_costs, interval_fill, norm_dp, pair_cost
+from .rationals import parse_rational
 from .spaces import FiniteSpace, Space, star_space
 from .words import (
     Letter,
@@ -156,7 +155,7 @@ def power_certificate_failure(p: PowerCertificate, space: Space) -> Optional[str
     for idx, x in enumerate(p.bases, 1):
         value = graev_norm(x, space)
         if value >= p.c:
-            return f"N(base {idx}) = {format_rational(value)} >= c = {format_rational(p.c)}"
+            return f"N(base {idx}) = {value} >= c = {p.c}"
     product = Word(())
     for x in p.bases:
         product = concat(product, word_power(x, p.n, space.base), space.base)
@@ -207,41 +206,21 @@ def _invert(state: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(neg, reversed(state)))
 
 
-def _cost_table(
-    code: dict[Point, int], space: Space
-) -> tuple[dict[int, int], dict[int, dict[int, int]], int]:
-    """The fix and pair costs of ``norm_dp`` over the coded signed alphabet,
-    scaled to integers by the lcm of their denominators; returns
-    (fix, pair, scale)."""
-    letters = {sign * i: Letter(p, sign) for p, i in code.items() for sign in (1, -1)}
-    fix = {x: fixed_cost(a, space) for x, a in letters.items()}
-    pair = {x: {y: pair_cost(a, b, space) for y, b in letters.items()} for x, a in letters.items()}
-    scale = lcm(
-        *(v.denominator for v in fix.values()),
-        *(v.denominator for row in pair.values() for v in row.values()),
-    )
-
-    def scaled(v: Fraction) -> int:
-        return v.numerator * (scale // v.denominator)
-
-    return (
-        {x: scaled(v) for x, v in fix.items()},
-        {x: {y: scaled(v) for y, v in row.items()} for x, row in pair.items()},
-        scale,
-    )
-
-
 def _candidate_bases(
     code: dict[Point, int], c: Fraction, max_base_length: int, space: Space
 ) -> list[Word]:
     """The nonempty reduced words over the coded points with norm < c, in
     canonical order.
 
-    Each norm is the ``norm_dp`` fill over one integer cost table built per
-    call, compared with c times the table's scale.  N(w^-1) = N(w), so each
-    inverse pair is normed once, at whichever of the two comes first.
+    Each norm is the ``norm_dp`` fill over the costs ``integer_costs``
+    gives once per call for the coded signed alphabet, compared with c
+    times their scale.  N(w^-1) = N(w), so each inverse pair is normed
+    once, at whichever of the two comes first.
     """
-    fix, pair, scale = _cost_table(code, space)
+    keys = [sign * i for i in code.values() for sign in (1, -1)]
+    fixes, pairs, scale = integer_costs([Letter(p, sign) for p in code for sign in (1, -1)], space)
+    fix = dict(zip(keys, fixes))
+    pair = {x: dict(zip(keys, row)) for x, row in zip(keys, pairs)}
     limit = c.numerator * scale  # value / scale < c, in integers
     pending: dict[tuple[int, ...], int] = {}
     out = []
@@ -436,7 +415,7 @@ def decomposition_from_json(data: dict) -> ConjugateDecomposition:
 def power_certificate_to_json(p: PowerCertificate) -> dict:
     return {
         "n": p.n,
-        "c": format_rational(p.c),
+        "c": str(p.c),
         "target": format_word(p.target),
         "bases": [format_word(x) for x in p.bases],
     }

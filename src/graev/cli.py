@@ -33,7 +33,7 @@ from .maps import (
     partial_contraction_from_json,
 )
 from .norm import graev_metric, is_sigma, matching_to_json, norm_dp
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 from .spaces import Space, resolve_space, star_space
 from .words import format_word, free_reduce, parse_word
 
@@ -51,9 +51,9 @@ def _cmd_norm(args: argparse.Namespace) -> int:
     word = free_reduce(parse_word(args.word, space), space.base)
     value, matching = norm_dp(word, space)
     if args.json:
-        _print_json({"norm": format_rational(value), "matching": matching_to_json(matching, value)})
+        _print_json({"norm": str(value), "matching": matching_to_json(matching, value)})
     else:
-        print(format_rational(value))
+        print(value)
     return 0
 
 
@@ -63,9 +63,9 @@ def _cmd_metric(args: argparse.Namespace) -> int:
     v = parse_word(args.right, space)
     value = graev_metric(u, v, space)
     if args.json:
-        _print_json({"metric": format_rational(value)})
+        _print_json({"metric": str(value)})
     else:
-        print(format_rational(value))
+        print(value)
     return 0
 
 
@@ -144,6 +144,8 @@ def _cmd_check_sigma(args: argparse.Namespace) -> int:
 def _cmd_extend_map(args: argparse.Namespace) -> int:
     with open(args.mapfile, "r", encoding="utf-8") as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError("the map file must hold a JSON object")
     space = _space(args)
     if "points" in data and "values" in data:
         mapping = extend_partial_contraction(partial_contraction_from_json(data))

@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .norm import graev_metric, graev_norm
-from .rationals import format_rational, parse_rational
-from .spaces import INTERVAL, FiniteSpace, Space, chain_space, star_space
+from .rationals import parse_rational
+from .spaces import INTERVAL, FiniteSpace, FrozenTable, Space, chain_space, star_space
 from .words import Letter, Point, Word, free_reduce, invert_word, parse_word
 
 TABLE = "table"
@@ -51,6 +51,8 @@ class PointMap:
             raise ValueError(f"unknown point-map kind {self.kind!r}")
         if backing[self.kind] is None:
             raise ValueError(f"a point map of kind {self.kind!r} needs its {self.kind} data")
+        if self.table is not None:
+            object.__setattr__(self, "table", FrozenTable(self.table))
 
     @staticmethod
     def from_table(domain: Space, codomain: Space, table: Mapping[Point, Point]) -> "PointMap":
@@ -63,7 +65,7 @@ class PointMap:
                 raise ValueError(f"table key {p!r} is not in the domain")
             if not codomain.contains(q):
                 raise ValueError(f"table value {q!r} is not in the codomain")
-        return PointMap(domain, codomain, TABLE, table=dict(table))
+        return PointMap(domain, codomain, TABLE, table=table)
 
     @staticmethod
     def scaling(scale: Fraction) -> "PointMap":
@@ -321,9 +323,9 @@ def map_to_json(h: PointMap) -> dict:
     if h.kind == TABLE:
         return {"map": {str(p): str(q) for p, q in h.table.items()}}
     if h.kind == AFFINE:
-        return {"scale": format_rational(h.scale)}
+        return {"scale": str(h.scale)}
     return {
-        "breakpoints": [[format_rational(x), format_rational(y)] for x, y in h.breakpoints]
+        "breakpoints": [[str(x), str(y)] for x, y in h.breakpoints]
     }
 
 
@@ -332,12 +334,16 @@ def map_from_json(data: dict, space: Space) -> PointMap:
     if "scale" in data:
         return PointMap.scaling(parse_rational(data["scale"]))
     if "breakpoints" in data:
-        return PointMap.piecewise(
-            [(parse_rational(x), parse_rational(y)) for x, y in data["breakpoints"]]
-        )
+        raw = data["breakpoints"]
+        if not isinstance(raw, list) or not all(isinstance(b, list) and len(b) == 2 for b in raw):
+            raise ValueError("field 'breakpoints' must be a list of [x, y] pairs")
+        return PointMap.piecewise([(parse_rational(x), parse_rational(y)) for x, y in raw])
     if "map" in data:
+        raw = data["map"]
+        if not isinstance(raw, dict) or not all(isinstance(q, str) for q in raw.values()):
+            raise ValueError("field 'map' must be an object from point names to point names")
         table: dict[Point, Point] = {}
-        for p, q in data["map"].items():
+        for p, q in raw.items():
             lp = parse_word(p, space)
             lq = parse_word(q, space)
             if len(lp) != 1 or len(lq) != 1 or lp[0].sign < 0 or lq[0].sign < 0:
@@ -350,11 +356,14 @@ def map_from_json(data: dict, space: Space) -> PointMap:
 
 
 def partial_contraction_from_json(data: dict) -> PartialContraction:
-    try:
-        points = tuple(parse_rational(t) for t in data["points"])
-        values = tuple(parse_rational(t) for t in data["values"])
-    except KeyError as missing:
-        raise ValueError(f"partial contraction file is missing field {missing}") from None
+    fields = []
+    for name in ("points", "values"):
+        if name not in data:
+            raise ValueError(f"partial contraction file is missing field {name!r}")
+        if not isinstance(data[name], list):
+            raise ValueError(f"field {name!r} must be a list of rationals such as '1/2'")
+        fields.append(tuple(parse_rational(t) for t in data[name]))
+    points, values = fields
     order = sorted(range(len(points)), key=lambda idx: points[idx])
     return PartialContraction(
         tuple(points[idx] for idx in order), tuple(values[idx] for idx in order)

@@ -7,7 +7,8 @@ matched pair (t, j) pays d~(x_t, x_j^-1) and an unmatched position pays its
 distance to the base point.  Two evaluators are provided:
 
 * ``norm_bruteforce`` enumerates the involution class literally and takes
-  the minimum of the defining sums (guarded to short words);
+  the minimum of the defining sums, over the integer-scaled costs of
+  ``integer_costs`` (guarded to short words);
 * ``norm_dp`` is an O(k^3) interval dynamic program over non-crossing
   matchings that also recovers one optimal matching.
 
@@ -20,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import getitem
 from typing import Iterator, Sequence, TypeVar
 
-from .rationals import format_rational
 from .spaces import Space, tilde_dist
 from .words import Letter, Word, concat, free_reduce, invert_word
 
@@ -54,7 +56,7 @@ def matching_to_json(matching: SigmaMatching, cost: Fraction) -> dict:
     return {
         "k": matching.k,
         "map": list(matching.map),
-        "cost": format_rational(cost),
+        "cost": str(cost),
         "pairs": [list(p) for p in matching.pairs()],
         "fixed": matching.fixed(),
     }
@@ -166,9 +168,34 @@ def pair_cost(a: Letter, b: Letter, space: Space) -> Fraction:
     return tilde_dist(a, b.inverse(), space)
 
 
+def integer_costs(
+    letters: Sequence[Letter], space: Space
+) -> tuple[list[int], list[list[int]], int]:
+    """The fix and pair costs of a letter sequence as integers over one
+    denominator; returns (fix, pair, scale).
+
+    ``fix[j]`` is d~(x_j, e) and ``pair[t][j]`` is d~(x_t, x_j^-1) for every
+    t and j, the diagonal d~(x, x^-1) included, each multiplied by
+    ``scale``, the lcm of all their denominators.  The distances are
+    computed once per distinct letter and pair of distinct letters.
+    """
+    index: dict[Letter, int] = {}
+    at = [index.setdefault(x, len(index)) for x in letters]
+    fix = [fixed_cost(x, space) for x in index]
+    pair = [[pair_cost(x, y, space) for y in index] for x in index]
+    scale = lcm(*(v.denominator for v in fix), *(v.denominator for row in pair for v in row))
+    fix = [v.numerator * (scale // v.denominator) for v in fix]
+    pair = [[v.numerator * (scale // v.denominator) for v in row] for row in pair]
+    return [fix[i] for i in at], [[pair[i][j] for j in at] for i in at], scale
+
+
 def norm_bruteforce(w: Word, space: Space) -> Fraction:
     """The defining minimum, evaluated literally over the whole class.
 
+    Every matching of ``enumerate_sigma(k)`` is summed over the integer
+    costs of ``integer_costs``: position i pays d~(x_i, x_alpha(i)^-1), so
+    a fixed point pays the diagonal d~(x, x^-1) and a pair is paid from
+    both ends; the minimum is halved and divided by the scale once.
     Accepts unreduced words (the value does not depend on the chosen
     representation; the suite tests that instead of assuming it).
     Guarded to 10 letters.
@@ -178,15 +205,10 @@ def norm_bruteforce(w: Word, space: Space) -> Fraction:
         return Fraction(0)
     if k > BRUTE_FORCE_MAX:
         raise ValueError(f"brute force is limited to {BRUTE_FORCE_MAX} letters, got {k}")
-    letters = w.letters
-    inverses = [letter.inverse() for letter in letters]
-    cost = [
-        [tilde_dist(letters[i], inverses[j], space) for j in range(k)] for i in range(k)
-    ]
-    best = min(
-        sum(cost[i][matching.map[i] - 1] for i in range(k)) for matching in enumerate_sigma(k)
-    )
-    return best / 2
+    _, pair, scale = integer_costs(w.letters, space)
+    rows = [[0] + row for row in pair]  # 1-based columns, as the image arrays are
+    best = min(sum(map(getitem, rows, matching.map)) for matching in enumerate_sigma(k))
+    return Fraction(best, 2 * scale)
 
 
 def norm_dp(w: Word, space: Space) -> tuple[Fraction, SigmaMatching]:

@@ -1,7 +1,8 @@
-"""Exact rational parsing and printing.
+"""Exact rational parsing.
 
 Everything in this library is a ``fractions.Fraction``; floats are never
 accepted, so equality tests and strict comparisons are always decidable.
+Output uses ``str``, which prints lowest terms, ``p/q`` or a plain ``p``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,3 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad rational {text!r}") from None
-
-
-def format_rational(value: Fraction) -> str:
-    """Lowest terms, ``p/q`` with plain ``p`` when the denominator is 1."""
-    return str(value)

@@ -5,8 +5,8 @@ nonnegative rationals over named points (one of which is the base point); the
 interval space is the rational segment [0, 1] with base point 0 and
 d(x, y) = |x - y|.  ``tilde_dist`` extends the point metric to signed letters.
 
-Spaces are immutable after construction and safe to share between concurrent
-norm computations.
+Spaces are immutable after construction, hashable, and safe to share between
+concurrent norm computations.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping, Optional, Union
 
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 
 if TYPE_CHECKING:
     from .words import Letter, Point
@@ -32,6 +32,22 @@ class MetricViolation:
 
     def __str__(self) -> str:
         return f"{self.axiom} violated at ({', '.join(self.points)})"
+
+
+class FrozenTable(dict):
+    """A dict that refuses changes, hashed as the frozenset of its items, so
+    equal tables hash equal and the frozen dataclasses holding one hash."""
+
+    def __hash__(self) -> int:  # type: ignore[override]
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return FrozenTable, (dict(self),)
+
+    def _frozen(self, *args, **kwargs):
+        raise TypeError("a FrozenTable cannot be changed")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _frozen
 
 
 @dataclass(frozen=True)
@@ -55,6 +71,9 @@ class FiniteSpace:
     table: Mapping[tuple[str, str], Fraction]
 
     kind = "finite"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "table", FrozenTable(self.table))
 
     def contains(self, p: "Point") -> bool:
         return p in self.points
@@ -190,7 +209,7 @@ def space_to_json(space: Space) -> dict:
     if not isinstance(space, FiniteSpace):
         return {"kind": "interval"}
     dist = {
-        f"{a},{b}": format_rational(space.table[(a, b)])
+        f"{a},{b}": str(space.table[(a, b)])
         for a, b in itertools.combinations(space.points, 2)
     }
     return {"kind": "finite", "base": space.base, "points": list(space.points), "dist": dist}

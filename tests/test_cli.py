@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from graev.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -261,6 +263,25 @@ def test_numeric_rationals_in_map_files_are_usage_errors(capsys, tmp_path):
         code, out, err = run_cli(capsys, "extend-map", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: bad rational") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"map": {"e1": 2}}, "'map' must be an object from point names to point names"),
+        ({"map": [1]}, "'map' must be an object from point names to point names"),
+        ({"breakpoints": 5}, "'breakpoints' must be a list of [x, y] pairs"),
+        ({"points": "01", "values": "00"}, "'points' must be a list of rationals"),
+        ({"points": ["0", "1"], "values": "00"}, "'values' must be a list of rationals"),
+        ([{"scale": "1/2"}], "the map file must hold a JSON object"),
+    ],
+)
+def test_malformed_map_files_are_usage_errors(capsys, tmp_path, payload, message):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "extend-map", "--space", "lemma32-m2", str(path))
+    assert (code, out) == (2, "")
+    assert message in err and err.count("\n") == 1, err
 
 
 def test_check_sigma_accepts(capsys):

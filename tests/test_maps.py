@@ -288,6 +288,17 @@ def test_map_json_roundtrip():
     assert map_from_json(map_to_json(extended), INTERVAL) == extended
 
 
+def test_equal_point_maps_hash_equal():
+    table = {"e": "e", "e1": "e2", "e2": "e1", "e3": "e"}
+    h = PointMap.from_table(STAR3, STAR3, table)
+    copy = map_from_json(map_to_json(h), STAR3)
+    assert copy == h and hash(copy) == hash(h)
+    halving = PointMap.scaling(frac("1/2"))
+    assert len({h, copy, halving, PointMap.scaling(frac("2/4")), grid_map(3), grid_map(3)}) == 3
+    table["e1"] = "e3"  # the map keeps its own copy
+    assert h.apply("e1") == "e2"
+
+
 def test_table_json_fills_base_entry():
     h = map_from_json({"map": {"e1": "e2", "e2": "e1", "e3": "e3"}}, STAR3)
     assert h.apply("e") == "e"

@@ -4,22 +4,66 @@ import pytest
 
 from fractions import Fraction
 
+import graev.norm
 from graev.norm import (
+    BRUTE_FORCE_MAX,
+    enumerate_sigma,
     fixed_cost,
     graev_metric,
     graev_norm,
+    integer_costs,
     matching_from_json,
     matching_to_json,
     norm_bruteforce,
     norm_dp,
     pair_cost,
 )
-from graev.spaces import INTERVAL, star_space
-from graev.suite import insert_cancelling_pairs, random_any_word, random_reduced_word
-from graev.words import Word, conjugate, cyclic_shift, free_reduce, invert_word, parse_word
+from graev.spaces import INTERVAL, FiniteSpace, chain_space, star_space, tilde_dist
+from graev.suite import insert_cancelling_pairs, random_any_word, random_letter, random_reduced_word
+from graev.words import Letter, Word, conjugate, cyclic_shift, free_reduce, invert_word, parse_word
 
 STAR3 = star_space(3)
 SPACES = (star_space(2), STAR3, INTERVAL)
+# d(a, b) = 2/3 is a denominator only the pair a b^-1 has: every fixed
+# cost and every cross-sign pair cost is an integer
+TRIANGLE = FiniteSpace.from_table(
+    "e", ("e", "a", "b"), {("e", "a"): Fraction(1), ("e", "b"): Fraction(1), ("a", "b"): Fraction(2, 3)}
+)
+
+
+def _reference_bruteforce(w: Word, space) -> Fraction:
+    """The Fraction brute force that ``norm_bruteforce`` replaced, kept verbatim."""
+    k = len(w)
+    if k == 0:
+        return Fraction(0)
+    if k > BRUTE_FORCE_MAX:
+        raise ValueError(f"brute force is limited to {BRUTE_FORCE_MAX} letters, got {k}")
+    letters = w.letters
+    inverses = [letter.inverse() for letter in letters]
+    cost = [
+        [tilde_dist(letters[i], inverses[j], space) for j in range(k)] for i in range(k)
+    ]
+    best = min(
+        sum(cost[i][matching.map[i] - 1] for i in range(k)) for matching in enumerate_sigma(k)
+    )
+    return best / 2
+
+
+def _oracle_corpus():
+    """Seeded unreduced words of every length 0..10, with base-point letters
+    and cancelling pairs, over five spaces."""
+    rng = random.Random(4096)
+    spaces = (INTERVAL, star_space(2), STAR3, chain_space(4), TRIANGLE)
+    for space in spaces:
+        for k in range(BRUTE_FORCE_MAX + 1):
+            for _ in range(3 if k < 9 else 1):
+                pairs = rng.randint(0, k // 2)
+                letters = [
+                    Letter(space.base, rng.choice((1, -1))) if rng.random() < 0.2
+                    else random_letter(rng, space)
+                    for _ in range(k - 2 * pairs)
+                ]
+                yield space, insert_cancelling_pairs(rng, Word(tuple(letters)), pairs, space)
 
 
 def test_single_generator_norm_is_its_base_distance():
@@ -67,6 +111,42 @@ def test_brute_force_guard():
     long_word = Word(tuple(parse_word("e1", STAR3).letters * 11))
     with pytest.raises(ValueError, match="limited"):
         norm_bruteforce(long_word, STAR3)
+
+
+def test_bruteforce_equals_the_reference_bruteforce():
+    lengths = set()
+    for space, word in _oracle_corpus():
+        assert len(word) <= BRUTE_FORCE_MAX
+        assert norm_bruteforce(word, space) == _reference_bruteforce(word, space), (space, word)
+        lengths.add(len(word))
+    assert lengths == set(range(BRUTE_FORCE_MAX + 1))
+
+
+def test_bruteforce_consumes_every_matching(monkeypatch):
+    seen = []
+
+    def spy(k):
+        for matching in enumerate_sigma(k):
+            seen.append(matching)
+            yield matching
+
+    monkeypatch.setattr(graev.norm, "enumerate_sigma", spy)
+    word = parse_word("e1 e2^-1 e e1 e2 e1^-1 e2", STAR3)
+    assert norm_bruteforce(word, STAR3) == _reference_bruteforce(word, STAR3)
+    assert seen == list(enumerate_sigma(len(word)))
+
+
+def test_integer_costs_cover_pair_only_denominators():
+    letters = parse_word("a b^-1 a", TRIANGLE).letters
+    fix, pair, scale = integer_costs(letters, TRIANGLE)
+    assert scale == 3
+    assert fix == [3, 3, 3]
+    # the diagonal d~(x, x^-1) = 2 d~(x, e); a b^-1 b^-1 pays d(a, b) = 2/3
+    assert [pair[i][i] for i in range(3)] == [6, 6, 6]
+    assert pair[0][1] == pair[1][0] == 2 and pair[0][2] == 6
+    for t, x in enumerate(letters):
+        assert fix[t] == 3 * fixed_cost(x, TRIANGLE)
+        assert pair[t] == [3 * pair_cost(x, y, TRIANGLE) for y in letters]
 
 
 def test_dp_equals_brute_force_randomized():

@@ -148,6 +148,16 @@ def test_space_json_roundtrip():
     assert space_from_json({"kind": "interval"}) == INTERVAL
 
 
+def test_equal_spaces_hash_equal():
+    # a space read back from JSON is a new object with a new table
+    for space in (STAR3, star_space(2), chain_space(4), INTERVAL):
+        copy = space_from_json(space_to_json(space))
+        assert copy == space and hash(copy) == hash(space)
+    assert len({STAR3, space_from_json(space_to_json(STAR3)), star_space(2)}) == 2
+    with pytest.raises(TypeError):
+        STAR3.table[("e", "e1")] = Fraction(5)
+
+
 def test_space_json_applies_symmetric_closure():
     data = {
         "kind": "finite",
