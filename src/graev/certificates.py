@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .maps import PointMap, check_contraction, extend_endomorphism
 from .norm import graev_norm, integer_costs, interval_fill, norm_dp, pair_cost
 from .rationals import parse_rational
 from .spaces import FiniteSpace, Space, star_space
@@ -37,6 +36,9 @@ from .words import (
     parse_word,
     signed_alphabet,
 )
+
+if TYPE_CHECKING:
+    from .maps import PointMap
 
 
 def in_ball(w: Word, c: Fraction, space: Space) -> bool:
@@ -178,6 +180,8 @@ def transport_certificate(p: PowerCertificate, h: PointMap) -> PowerCertificate:
     The image homomorphism sends each base word to a word of no larger
     norm, so the transported certificate verifies over the codomain.
     """
+    from .maps import check_contraction, extend_endomorphism  # here, so importing certificates skips maps
+
     if not check_contraction(h):
         raise ValueError("the map is not a contraction")
     failure = power_certificate_failure(p, h.domain)

@@ -5,6 +5,9 @@ suite.  Exit codes are stable across commands: 0 for success or a positive
 verdict, 1 for a valid negative result (NONE, FAIL, UNKNOWN, a failing
 suite), 2 for usage, parse or file errors.  Rationals print in lowest terms
 and all output is deterministic for a fixed seed.
+
+Each command imports the modules only it needs (``certificates``, ``maps``,
+``suite``) when it runs, so the start-up of every other command skips them.
 """
 
 from __future__ import annotations
@@ -14,24 +17,6 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .certificates import (
-    decompose_conjugates,
-    decomposition_from_json,
-    decomposition_to_json,
-    conjugate_decomposition_failure,
-    power_certificate_from_json,
-    power_certificate_to_json,
-    power_certificate_failure,
-    search_power_certificate,
-)
-from .maps import (
-    check_contraction,
-    extend_endomorphism,
-    extend_partial_contraction,
-    map_from_json,
-    map_to_json,
-    partial_contraction_from_json,
-)
 from .norm import graev_metric, is_sigma, matching_to_json, norm_dp
 from .rationals import parse_rational
 from .spaces import Space, resolve_space, star_space
@@ -70,6 +55,8 @@ def _cmd_metric(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    from .certificates import decompose_conjugates, decomposition_to_json
+
     m = args.m
     space = star_space(m)
     if args.space is not None:
@@ -86,6 +73,13 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .certificates import (
+        conjugate_decomposition_failure,
+        decomposition_from_json,
+        power_certificate_failure,
+        power_certificate_from_json,
+    )
+
     with open(args.certificate, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
@@ -110,6 +104,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from .certificates import power_certificate_to_json, search_power_certificate
+
     space = _space(args)
     word = parse_word(args.word, space)
     certificate = search_power_certificate(
@@ -142,6 +138,15 @@ def _cmd_check_sigma(args: argparse.Namespace) -> int:
 
 
 def _cmd_extend_map(args: argparse.Namespace) -> int:
+    from .maps import (
+        check_contraction,
+        extend_endomorphism,
+        extend_partial_contraction,
+        map_from_json,
+        map_to_json,
+        partial_contraction_from_json,
+    )
+
     with open(args.mapfile, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
@@ -166,7 +171,7 @@ def _cmd_extend_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    from .suite import run_suite  # imported here: it costs every other command's start-up
+    from .suite import run_suite
 
     results = run_suite(select=args.select, seed=args.seed, cases=args.cases)
     ok = all(r.passed for r in results)

@@ -364,6 +364,11 @@ def partial_contraction_from_json(data: dict) -> PartialContraction:
             raise ValueError(f"field {name!r} must be a list of rationals such as '1/2'")
         fields.append(tuple(parse_rational(t) for t in data[name]))
     points, values = fields
+    if len(points) != len(values):
+        raise ValueError(
+            "fields 'points' and 'values' must have the same length, "
+            f"got {len(points)} and {len(values)}"
+        )
     order = sorted(range(len(points)), key=lambda idx: points[idx])
     return PartialContraction(
         tuple(points[idx] for idx in order), tuple(values[idx] for idx in order)

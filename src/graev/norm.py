@@ -10,7 +10,13 @@ distance to the base point.  Two evaluators are provided:
   the minimum of the defining sums, over the integer-scaled costs of
   ``integer_costs`` (guarded to short words);
 * ``norm_dp`` is an O(k^3) interval dynamic program over non-crossing
-  matchings that also recovers one optimal matching.
+  matchings that also recovers one optimal matching.  Its fill,
+  ``interval_fill``, skips every split whose pair cost d~(x_t, x_j^-1) is
+  at least d~(x_t, e) + d~(x_j, e), the cost of leaving both unmatched,
+  since such a split never beats leaving x_j unmatched; the values and the
+  recovered matchings are those of the full fill.  On the interval this
+  removes every same-sign pair, and over a star space only cancelling
+  pairs remain.
 
 The two must agree exactly on every input; that equivalence is an oracle
 check in the test suite, not an assumption here.
@@ -261,18 +267,29 @@ def interval_fill(
     unmatched in the optimum of positions i..j, else the position t it is
     matched with.  The cost table is padded, ``cost[i][j + 1]`` holding
     C(i, j), so the empty range C(i, i - 1) is the ``zero`` at ``cost[i][i]``.
+
+    A split t with ``pair[t][j] >= fix[t] + fix[j]`` is skipped: leaving t
+    unmatched gives C(i, j-1) <= C(i, t-1) + fix[t] + C(t+1, j-1), so that
+    split is never strictly below leaving x_j unmatched, and skipping it
+    changes neither the optimum nor the tie rule.  The rule depends on t
+    and j only, so the fill runs column by column, i going down from j,
+    over an ascending list of the live splits t in [i, j), each stored with
+    its part pair[t][j] + C(t+1, j-1) that does not depend on i.
     """
     k = len(fix)
     cost = [[zero] * (k + 1) for _ in range(k + 1)]
     back = [[-1] * k for _ in range(k)]
-    for span in range(1, k + 1):
-        for i in range(0, k - span + 1):
-            j = i + span - 1
+    for j in range(k):
+        fj = fix[j]
+        live: list[tuple[int, Num]] = []
+        for i in range(j, -1, -1):
+            if i < j and pair[i][j] < fix[i] + fj:
+                live.insert(0, (i, pair[i][j] + cost[i + 1][j]))
             row = cost[i]
-            best = row[j] + fix[j]
+            best = row[j] + fj
             choice = -1
-            for t in range(i, j):
-                cand = row[t] + pair[t][j] + cost[t + 1][j]
+            for t, rest in live:
+                cand = row[t] + rest
                 if cand < best:
                     best, choice = cand, t
             row[j + 1], back[i][j] = best, choice

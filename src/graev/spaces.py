@@ -24,6 +24,10 @@ from .rationals import parse_rational
 if TYPE_CHECKING:
     from .words import Letter, Point
 
+# built-in star and chain spaces hold an (m+1)^2 table and validating it
+# checks (m+1)^3 triangles (about 0.8 s at m = 64), so their rank is capped
+SPACE_RANK_MAX = 64
+
 
 @dataclass(frozen=True)
 class MetricViolation:
@@ -172,11 +176,17 @@ def tilde_dist(a: "Letter", b: "Letter", space: Space) -> Fraction:
     return space.dist(pa, space.base) + space.dist(space.base, pb)
 
 
+def _check_rank(kind: str, m: int) -> None:
+    if m < 1:
+        raise ValueError(f"{kind} space needs at least one generator")
+    if m > SPACE_RANK_MAX:
+        raise ValueError(f"{kind} space rank {m} is above the limit of {SPACE_RANK_MAX} generators")
+
+
 @lru_cache(maxsize=None)
 def star_space(m: int) -> FiniteSpace:
     """Generators e1..em at distance 1 from the base and 2 from each other."""
-    if m < 1:
-        raise ValueError("star space needs at least one generator")
+    _check_rank("star", m)
     points = ("e",) + tuple(f"e{i}" for i in range(1, m + 1))
     entries: dict[tuple[str, str], Fraction] = {}
     for i in range(1, m + 1):
@@ -189,8 +199,7 @@ def star_space(m: int) -> FiniteSpace:
 @lru_cache(maxsize=None)
 def chain_space(m: int) -> FiniteSpace:
     """Generators f1..fm on the integer line: d(fi, fj) = |i-j|, d(fi, e) = i."""
-    if m < 1:
-        raise ValueError("chain space needs at least one generator")
+    _check_rank("chain", m)
     points = ("e",) + tuple(f"f{i}" for i in range(1, m + 1))
     entries: dict[tuple[str, str], Fraction] = {}
     for i in range(1, m + 1):

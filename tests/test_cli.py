@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from graev.cli import main
+from graev.spaces import SPACE_RANK_MAX
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -284,6 +286,32 @@ def test_malformed_map_files_are_usage_errors(capsys, tmp_path, payload, message
     assert message in err and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "payload, lengths",
+    [
+        ({"points": ["0", "1/2"], "values": ["0"]}, "got 2 and 1"),
+        ({"points": ["0"], "values": ["0", "1/2"]}, "got 1 and 2"),
+    ],
+)
+def test_partial_contraction_length_mismatch_is_a_usage_error(capsys, tmp_path, payload, lengths):
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "extend-map", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: fields 'points' and 'values' must have the same length, {lengths}\n"
+
+
+@pytest.mark.parametrize("m", [SPACE_RANK_MAX + 1, 999999999])
+@pytest.mark.parametrize(
+    "argv",
+    [("norm", "--space", "lemma32-m{m}", "e1"), ("decompose", "--m", "{m}", "e1")],
+)
+def test_huge_built_in_space_rank_is_a_usage_error(capsys, argv, m):
+    code, out, err = run_cli(capsys, *(arg.format(m=m) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == f"error: star space rank {m} is above the limit of {SPACE_RANK_MAX} generators\n"
+
+
 def test_check_sigma_accepts(capsys):
     code, out, _ = run_cli(capsys, "check-sigma", "3 2 1")
     assert (code, out) == (0, "true\n")
@@ -381,13 +409,21 @@ def test_suite_rejects_negative_case_counts(capsys):
 
 def test_cli_import_leaves_the_suite_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, graev.cli; print('graev.suite' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    probe = "import sys, graev.cli; print([m for m in ('suite', 'certificates', 'maps') if 'graev.' + m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_every_exported_name_resolves():
+    import graev
+
+    assert len(graev.__all__) == len(set(graev.__all__)) == 50
+    for name in graev.__all__:
+        value = getattr(graev, name)
+        module = importlib.import_module(f"graev.{graev._MODULE_OF[name]}")
+        assert value is getattr(module, name), name
+    with pytest.raises(AttributeError):
+        getattr(graev, "no_such_name")
 
 
 def test_bad_space_argument(capsys):

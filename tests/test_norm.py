@@ -12,6 +12,7 @@ from graev.norm import (
     graev_metric,
     graev_norm,
     integer_costs,
+    interval_fill,
     matching_from_json,
     matching_to_json,
     norm_bruteforce,
@@ -64,6 +65,66 @@ def _oracle_corpus():
                     for _ in range(k - 2 * pairs)
                 ]
                 yield space, insert_cancelling_pairs(rng, Word(tuple(letters)), pairs, space)
+
+
+def _reference_fill(fix, pair, zero):
+    """The unpruned span-by-span fill that ``interval_fill`` replaced, kept verbatim."""
+    k = len(fix)
+    cost = [[zero] * (k + 1) for _ in range(k + 1)]
+    back = [[-1] * k for _ in range(k)]
+    for span in range(1, k + 1):
+        for i in range(0, k - span + 1):
+            j = i + span - 1
+            row = cost[i]
+            best = row[j] + fix[j]
+            choice = -1
+            for t in range(i, j):
+                cand = row[t] + pair[t][j] + cost[t + 1][j]
+                if cand < best:
+                    best, choice = cand, t
+            row[j + 1], back[i][j] = best, choice
+    return cost[0][k], back
+
+
+def _fill_corpus():
+    """Fraction costs of seeded unreduced words (base-point letters, every k
+    from 0 to 20, then up to 40 in steps of 5) over five spaces, then small
+    integer tables full of ties."""
+    rng = random.Random(5150)
+    for space in (INTERVAL, star_space(2), STAR3, chain_space(4), TRIANGLE):
+        for k in [*range(21), 25, 30, 35, 40]:
+            pairs = rng.randint(0, k // 2)
+            letters = [
+                Letter(space.base, rng.choice((1, -1))) if rng.random() < 0.2
+                else random_letter(rng, space)
+                for _ in range(k - 2 * pairs)
+            ]
+            word = insert_cancelling_pairs(rng, Word(tuple(letters)), pairs, space)
+            fix = [fixed_cost(x, space) for x in word]
+            pair = [[pair_cost(x, y, space) for y in word] for x in word]
+            yield fix, pair, Fraction(0)
+    for _ in range(500):
+        k = rng.randint(0, 12)
+        fix = [rng.randint(0, 2) for _ in range(k)]
+        # a third of the pairs sit exactly on the pruning bound fix[t] + fix[j]
+        pair = [
+            [fix[t] + fix[j] if rng.random() < 1 / 3 else rng.randint(0, 4) for j in range(k)]
+            for t in range(k)
+        ]
+        yield fix, pair, 0
+
+
+def test_fill_equals_the_reference_fill():
+    for fix, pair, zero in _fill_corpus():
+        assert interval_fill(fix, pair, zero) == _reference_fill(fix, pair, zero), (fix, pair)
+
+
+def test_dp_recovers_the_reference_fill_matchings(monkeypatch):
+    rng = random.Random(6160)
+    words = [(space, random_any_word(rng, space, 40, base_prob=0.2)) for space in SPACES * 8]
+    ours = [norm_dp(word, space) for space, word in words]
+    monkeypatch.setattr(graev.norm, "interval_fill", _reference_fill)
+    assert ours == [norm_dp(word, space) for space, word in words]
 
 
 def test_single_generator_norm_is_its_base_distance():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from graev.spaces import (
     INTERVAL,
+    SPACE_RANK_MAX,
     FiniteSpace,
     builtin_space,
     chain_space,
@@ -191,6 +192,13 @@ def test_builtin_spaces():
     assert builtin_space("lemma32-m3") == STAR3
     assert builtin_space("lemma32-m12") == star_space(12)
     assert builtin_space("unknown") is None
+
+
+@pytest.mark.parametrize("build", [star_space, chain_space])
+@pytest.mark.parametrize("m", [SPACE_RANK_MAX + 1, 999999999])
+def test_built_in_space_rank_is_capped_before_building(build, m):
+    with pytest.raises(ValueError, match=f"rank {m} is above the limit of {SPACE_RANK_MAX}"):
+        build(m)
 
 
 def test_chain_space_distances():
