@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .norm import graev_metric, is_sigma, matching_to_json, norm_dp
 from .rationals import parse_rational
-from .spaces import Space, resolve_space, star_space
+from .spaces import Space, read_json, resolve_space, star_space
 from .words import format_word, free_reduce, parse_word
 
 
@@ -80,8 +80,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         power_certificate_from_json,
     )
 
-    with open(args.certificate, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = read_json(args.certificate)
     if not isinstance(data, dict):
         raise ValueError("the certificate file must hold a JSON object")
     if "factors" in data:
@@ -147,8 +146,7 @@ def _cmd_extend_map(args: argparse.Namespace) -> int:
         partial_contraction_from_json,
     )
 
-    with open(args.mapfile, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = read_json(args.mapfile)
     if not isinstance(data, dict):
         raise ValueError("the map file must hold a JSON object")
     space = _space(args)

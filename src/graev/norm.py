@@ -31,7 +31,7 @@ from math import lcm
 from operator import getitem
 from typing import Iterator, Sequence, TypeVar
 
-from .spaces import Space, tilde_dist
+from .spaces import Space
 from .words import Letter, Word, concat, free_reduce, invert_word
 
 SIGMA_ENUM_MAX = 10
@@ -166,12 +166,12 @@ def noncrossing_involutions(k: int) -> set[tuple[int, ...]]:
 
 def fixed_cost(letter: Letter, space: Space) -> Fraction:
     """Cost of leaving a position unmatched: d~(x, e) = d~(x, x^-1)/2."""
-    return tilde_dist(letter, Letter(space.base), space)
+    return space.signed_dist(letter.point, letter.sign, space.base, 1)
 
 
 def pair_cost(a: Letter, b: Letter, space: Space) -> Fraction:
     """Cost of matching two positions: d~(x_t, x_j^-1)."""
-    return tilde_dist(a, b.inverse(), space)
+    return space.signed_dist(a.point, a.sign, b.point, -b.sign)
 
 
 def integer_costs(
@@ -230,13 +230,13 @@ def norm_dp(w: Word, space: Space) -> tuple[Fraction, SigmaMatching]:
     k = len(w)
     if k == 0:
         return Fraction(0), SigmaMatching(0, ())
-    letters = w.letters
-    base_letter = Letter(space.base)
-    fix = [tilde_dist(x, base_letter, space) for x in letters]
-    inverses = [x.inverse() for x in letters]
+    dist, base = space.signed_dist, space.base
+    signed = [(x.point, x.sign) for x in w.letters]
+    fix = [dist(p, s, base, 1) for p, s in signed]
+    # interval_fill reads pair[t][j] for t < j only; the rest is padding
     pair = [
-        [tilde_dist(letters[t], inverses[j], space) if t < j else Fraction(0) for j in range(k)]
-        for t in range(k)
+        [None] * (t + 1) + [dist(p, s, q, -r) for q, r in signed[t + 1 :]]
+        for t, (p, s) in enumerate(signed)
     ]
     value, back = interval_fill(fix, pair, Fraction(0))
 

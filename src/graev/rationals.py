@@ -7,14 +7,30 @@ Output uses ``str``, which prints lowest terms, ``p/q`` or a plain ``p``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+# digits in one rational's text; int parsing is superlinear in the length
+RATIONAL_DIGITS_MAX = 1000
+
+# ASCII p/q, an integer or a plain decimal, with an optional sign: no
+# exponent, no underscore, no other script's digits
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+/[0-9]+|[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``p/q``, integer, or decimal text (``0.4`` becomes ``2/5``)."""
     if not isinstance(text, str):
         raise ValueError(f"bad rational {text!r}: expected text such as '2/5'")
+    body = text.strip()
+    if not _RATIONAL.fullmatch(body):
+        raise ValueError(f"bad rational {text!r}")
+    digits = sum(ch.isdigit() for ch in body)
+    if digits > RATIONAL_DIGITS_MAX:
+        raise ValueError(
+            f"bad rational: {digits} digits is above the limit of {RATIONAL_DIGITS_MAX}"
+        )
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
+        return Fraction(body)
+    except ZeroDivisionError:
         raise ValueError(f"bad rational {text!r}") from None

@@ -3,7 +3,15 @@
 Two backings are supported.  A finite space stores a full symmetric table of
 nonnegative rationals over named points (one of which is the base point); the
 interval space is the rational segment [0, 1] with base point 0 and
-d(x, y) = |x - y|.  ``tilde_dist`` extends the point metric to signed letters.
+d(x, y) = |x - y|.
+
+``tilde_dist`` extends the point metric to signed letters: d~ is d(x, y) for
+equal signs and d(x, e) + d(e, y) for opposite signs.  Each space computes
+it in ``signed_dist(p, sp, q, sq)``.  The interval returns |p - q| or p + q,
+since d(p, 0) + d(0, q) = p + q on [0, 1]; a finite space looks both up in a
+signed table built once from its distances.  The base letter needs no
+branch: d(e, e) = 0, so d(e, y) and d(e, e) + d(e, y) are the same value
+and either sign of e gives it.
 
 Spaces are immutable after construction, hashable, and safe to share between
 concurrent norm computations.
@@ -14,7 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping, Optional, Union
@@ -62,10 +70,18 @@ class IntervalSpace:
     base = Fraction(0)
 
     def contains(self, p: "Point") -> bool:
-        return isinstance(p, Fraction) and 0 <= p <= 1
+        return isinstance(p, Fraction) and 0 <= p.numerator <= p.denominator
 
     def dist(self, a: Fraction, b: Fraction) -> Fraction:
         return abs(a - b)
+
+    def signed_dist(self, p: Fraction, sp: int, q: Fraction, sq: int) -> Fraction:
+        """d~ between the letters p^sp and q^sq."""
+        if not self.contains(p):
+            raise ValueError(f"letter point {p!r} is not in the space")
+        if not self.contains(q):
+            raise ValueError(f"letter point {q!r} is not in the space")
+        return abs(p - q) if sp == sq else p + q
 
 
 @dataclass(frozen=True, eq=True)
@@ -73,11 +89,19 @@ class FiniteSpace:
     base: str
     points: tuple[str, ...]
     table: Mapping[tuple[str, str], Fraction]
+    # (a, b) -> (d~ for equal signs, d~ for opposite signs)
+    signed: Mapping[tuple[str, str], tuple[Fraction, Fraction]] = field(
+        init=False, repr=False, compare=False
+    )
 
     kind = "finite"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "table", FrozenTable(self.table))
+        table = FrozenTable(self.table)
+        e = self.base
+        signed = {(a, b): (d, table[a, e] + table[e, b]) for (a, b), d in table.items()}
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "signed", signed)
 
     def contains(self, p: "Point") -> bool:
         return p in self.points
@@ -87,6 +111,14 @@ class FiniteSpace:
             return self.table[(a, b)]
         except KeyError:
             raise ValueError(f"no distance for pair ({a}, {b})") from None
+
+    def signed_dist(self, p: str, sp: int, q: str, sq: int) -> Fraction:
+        """d~ between the letters p^sp and q^sq."""
+        try:
+            return self.signed[p, q][sp != sq]
+        except (KeyError, TypeError):
+            bad = q if p in self.points else p
+            raise ValueError(f"letter point {bad!r} is not in the space") from None
 
     @staticmethod
     def from_table(
@@ -164,16 +196,7 @@ def tilde_dist(a: "Letter", b: "Letter", space: Space) -> Fraction:
     through the base point: d(x, e) + d(e, y).  The base-point letter is
     sign-insensitive.
     """
-    pa, pb = a.point, b.point
-    if not space.contains(pa):
-        raise ValueError(f"letter point {pa!r} is not in the space")
-    if not space.contains(pb):
-        raise ValueError(f"letter point {pb!r} is not in the space")
-    sa = 1 if pa == space.base else a.sign
-    sb = 1 if pb == space.base else b.sign
-    if sa == sb:
-        return space.dist(pa, pb)
-    return space.dist(pa, space.base) + space.dist(space.base, pb)
+    return space.signed_dist(a.point, a.sign, b.point, b.sign)
 
 
 def _check_rank(kind: str, m: int) -> None:
@@ -207,11 +230,6 @@ def chain_space(m: int) -> FiniteSpace:
         for j in range(i + 1, m + 1):
             entries[(f"f{i}", f"f{j}")] = Fraction(j - i)
     return FiniteSpace.from_table("e", points, entries)
-
-
-def grid_points(m: int) -> list[Fraction]:
-    """The points 0, 1/m, ..., m/m of the interval."""
-    return [Fraction(j, m) for j in range(m + 1)]
 
 
 def space_to_json(space: Space) -> dict:
@@ -258,9 +276,17 @@ def space_from_json(data: dict) -> Space:
     return FiniteSpace.from_table(base, tuple(points), entries, validate=True)
 
 
-def load_space(path: str) -> Space:
+def read_json(path: str):
+    """The JSON value held in a file; nesting too deep to decode is a ValueError."""
     with open(path, "r", encoding="utf-8") as handle:
-        return space_from_json(json.load(handle))
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
+def load_space(path: str) -> Space:
+    return space_from_json(read_json(path))
 
 
 _BUILTIN = re.compile(r"^lemma32-m([1-9][0-9]*)$")

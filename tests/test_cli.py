@@ -8,9 +8,15 @@ from pathlib import Path
 import pytest
 
 from graev.cli import main
+from graev.rationals import RATIONAL_DIGITS_MAX
 from graev.spaces import SPACE_RANK_MAX
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _src_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+
 
 # most transcripts drive main() in process; one subprocess test covers the
 # python -m entry point end to end
@@ -258,6 +264,40 @@ def test_malformed_space_files_are_usage_errors(capsys, tmp_path):
     assert run_cli(capsys, "norm", "--space", str(path), "a") == (0, "1\n", "")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "1e-5"],
+        ["norm", "1/2_0"],
+        ["norm", "\uff11/2"],
+        ["norm", "1/" + "3" * RATIONAL_DIGITS_MAX],
+        ["search", "--space", "lemma32-m3", "e1", "--c", "1e-5"],
+        ["search", "--space", "lemma32-m3", "e1", "--c", "1/2_0"],
+        ["search", "--space", "lemma32-m3", "e1", "--c", "\uff11/2"],
+        ["search", "--space", "lemma32-m3", "e1", "--c", "1" * (RATIONAL_DIGITS_MAX + 1)],
+    ],
+)
+def test_rationals_outside_the_documented_forms_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "--space", "{path}", "e1"],
+        ["verify", "{path}"],
+        ["extend-map", "{path}"],
+    ],
+)
+def test_deeply_nested_json_files_are_usage_errors(capsys, tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {path}: JSON nested too deeply to read\n")
+
+
 def test_numeric_rationals_in_map_files_are_usage_errors(capsys, tmp_path):
     path = tmp_path / "map.json"
     for payload in ({"scale": 0.5}, {"points": [0, 1], "values": ["0", "1/2"]}):
@@ -408,9 +448,8 @@ def test_suite_rejects_negative_case_counts(capsys):
 
 
 def test_cli_import_leaves_the_suite_unloaded():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     probe = "import sys, graev.cli; print([m for m in ('suite', 'certificates', 'maps') if 'graev.' + m in sys.modules])"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env())
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
@@ -437,6 +476,7 @@ def test_module_entry_point_runs():
         [sys.executable, "-m", "graev", "norm", "--space", "interval", "2/5 4/5^-1"],
         capture_output=True,
         text=True,
+        env=_src_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "2/5\n"

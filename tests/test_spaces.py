@@ -21,6 +21,31 @@ from graev.spaces import (
 from graev.words import Letter, signed_alphabet
 
 STAR3 = star_space(3)
+TRIANGLE = FiniteSpace.from_table(
+    "e", ("e", "a", "b"), {("e", "a"): Fraction(1), ("e", "b"): Fraction(1), ("a", "b"): Fraction(2, 3)}
+)
+
+
+def _reference_tilde_dist(a, b, space):
+    """The ``tilde_dist`` that each space's ``signed_dist`` replaced, kept verbatim."""
+    pa, pb = a.point, b.point
+    if not space.contains(pa):
+        raise ValueError(f"letter point {pa!r} is not in the space")
+    if not space.contains(pb):
+        raise ValueError(f"letter point {pb!r} is not in the space")
+    sa = 1 if pa == space.base else a.sign
+    sb = 1 if pb == space.base else b.sign
+    if sa == sb:
+        return space.dist(pa, pb)
+    return space.dist(pa, space.base) + space.dist(space.base, pb)
+
+
+def _assert_same_as_reference(letters, space):
+    for a in letters:
+        for b in letters:
+            got = tilde_dist(a, b, space)
+            assert type(got) is Fraction
+            assert got == _reference_tilde_dist(a, b, space), (a, b)
 
 
 def test_star_space_is_a_metric():
@@ -118,6 +143,72 @@ def test_tilde_dist_rejects_foreign_points():
         tilde_dist(Letter("x9"), Letter("e1"), STAR3)
     with pytest.raises(ValueError, match="not in the space"):
         tilde_dist(Letter(Fraction(7, 5)), Letter(Fraction(1, 5)), INTERVAL)
+
+
+def test_tilde_dist_matches_the_reference_on_finite_spaces():
+    # every pair of signed letters, the base letter in both signs included
+    for space in (star_space(2), STAR3, chain_space(4), TRIANGLE):
+        _assert_same_as_reference(signed_alphabet(space.points), space)
+
+
+def test_tilde_dist_matches_the_reference_on_interval_points():
+    rng = random.Random(61)
+    points = [Fraction(0), Fraction(1)]
+    points += [Fraction(rng.randint(0, q), q) for q in range(1, 13) for _ in range(2)]
+    _assert_same_as_reference(signed_alphabet(points), INTERVAL)
+
+
+def _error(call) -> str:
+    with pytest.raises(ValueError) as raised:
+        call()
+    return str(raised.value)
+
+
+@pytest.mark.parametrize(
+    "space, inside, foreign",
+    [
+        (STAR3, "e1", "x9"),
+        (STAR3, "e", Fraction(1, 2)),
+        (TRIANGLE, "a", "e1"),
+        (INTERVAL, Fraction(1, 5), Fraction(7, 5)),
+        (INTERVAL, Fraction(1), Fraction(-1, 5)),
+        (INTERVAL, Fraction(0), 1),
+        (INTERVAL, Fraction(2, 5), "1/2"),
+    ],
+)
+def test_tilde_dist_rejects_a_foreign_point_in_either_place_as_before(space, inside, foreign):
+    for a, b in ((foreign, inside), (inside, foreign)):
+        for sa in (1, -1):
+            for sb in (1, -1):
+                x, y = Letter(a, sa), Letter(b, sb)
+                message = _error(lambda: tilde_dist(x, y, space))
+                assert message == _error(lambda: _reference_tilde_dist(x, y, space))
+                assert message == f"letter point {foreign!r} is not in the space"
+
+
+def test_interval_membership_is_the_closed_unit_segment():
+    for q in range(1, 8):
+        for p in range(-q - 1, 2 * q + 2):
+            x = Fraction(p, q)
+            assert INTERVAL.contains(x) == (0 <= x <= 1)
+    assert not INTERVAL.contains(1) and not INTERVAL.contains("0")
+
+
+def test_signed_table_stays_out_of_equality_repr_and_json():
+    star1 = star_space(1)
+    assert repr(star1) == (
+        "FiniteSpace(base='e', points=('e', 'e1'), table={('e', 'e'): Fraction(0, 1), "
+        "('e1', 'e1'): Fraction(0, 1), ('e', 'e1'): Fraction(1, 1), ('e1', 'e'): Fraction(1, 1)})"
+    )
+    assert space_to_json(chain_space(2)) == {
+        "kind": "finite",
+        "base": "e",
+        "points": ["e", "f1", "f2"],
+        "dist": {"e,f1": "1", "e,f2": "2", "f1,f2": "1"},
+    }
+    copy = space_from_json(space_to_json(TRIANGLE))
+    assert copy == TRIANGLE and hash(copy) == hash(TRIANGLE)
+    assert copy.signed == TRIANGLE.signed and copy.signed is not TRIANGLE.signed
 
 
 def test_tilde_dist_metric_axioms_exhaustive_on_finite_spaces():
