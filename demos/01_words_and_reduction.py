@@ -10,9 +10,9 @@ from graev import (
     invert_word,
     parse_word,
     star_space,
-    substitute_basis,
+    triangular_translation,
 )
-from graev.spaces import chain_space
+from graev.maps import translate_word
 
 star = star_space(3)
 
@@ -35,10 +35,11 @@ g = parse_word("e1", star)
 print("g w g^-1:     ", format_word(conjugate(g, parse_word("e2", star), "e")))
 print("shifted:      ", format_word(cyclic_shift(parse_word("e1 e2 e3", star), 1)))
 
-# The triangular basis change: f_i maps to e1...ei and back.
-chain = chain_space(2)
-f_word = parse_word("f2 f1^-1", chain)
-e_word = substitute_basis(f_word, "f_to_e")
+# The triangular basis change (graev.maps): f_i maps to e1...ei, and back
+# e1 to f1 and ei to f(i-1)^-1 fi.
+triangular = triangular_translation(2)
+f_word = parse_word("f2 f1^-1", triangular.space_a)
+e_word = translate_word(f_word, triangular.a_to_b, "e", "e")
 print("f-basis word: ", format_word(f_word))
 print("as e-word:    ", format_word(e_word))
-print("round trip:   ", format_word(substitute_basis(e_word, "e_to_f")))
+print("round trip:   ", format_word(translate_word(e_word, triangular.b_to_a, "e", "e")))

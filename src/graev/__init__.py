@@ -71,7 +71,6 @@ _EXPORTS = {
         "free_reduce",
         "invert_word",
         "parse_word",
-        "substitute_basis",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .norm import graev_norm, integer_costs, interval_fill, norm_dp, pair_cost
 from .rationals import parse_rational
@@ -29,6 +29,7 @@ from .words import (
     Point,
     Word,
     concat,
+    conjugate,
     enumerate_reduced_words,
     format_letter,
     format_word,
@@ -119,8 +120,7 @@ def conjugate_decomposition_failure(d: ConjugateDecomposition) -> Optional[str]:
                 return f"conjugator letter {format_letter(letter)} is outside the alphabet"
         if a.point not in allowed:
             return f"factor letter {format_letter(a)} is outside the alphabet"
-        piece = free_reduce(Word(g.letters + (a,) + tuple(x.inverse() for x in reversed(g.letters))), "e")
-        product = concat(product, piece, "e")
+        product = concat(product, conjugate(g, Word((a,)), "e"), "e")
     if product != free_reduce(d.target, "e"):
         return (
             f"product mismatch: factors multiply to '{format_word(product)}', "
@@ -195,9 +195,9 @@ def transport_certificate(p: PowerCertificate, h: PointMap) -> PowerCertificate:
     )
 
 
-def _candidate_points(w: Word, space: Space) -> list[Point]:
+def _candidate_points(w: Word, space: Space) -> Sequence[Point]:
     if isinstance(space, FiniteSpace):
-        return [p for p in space.points if p != space.base]
+        return space.generators
     pts = sorted({letter.point for letter in w} - {space.base})
     return pts
 

@@ -7,8 +7,10 @@ distance) never increase the word norm, and exact-scaling maps multiply it
 by their factor; both facts are exercised by the suite rather than assumed.
 
 Also here: piecewise-linear extension of a partial contraction given on a
-finite subset of [0, 1], the grid-to-chain rescaling map, and the agreement
-check for norms extended from two different bases of the same free group.
+finite subset of [0, 1], the grid-to-chain rescaling map, and basis changes:
+``translate_word`` substitutes generators between two free bases (such as
+the triangular chain/star pair f_i <-> e1...ei), and norms extended from
+the two bases are checked to induce the same metric.
 """
 
 from __future__ import annotations
@@ -244,27 +246,18 @@ def translate_word(w: Word, mapping: Mapping[Point, Word], source_base: Point, t
     return free_reduce(Word(tuple(out)), target_base)
 
 
-def _generators(space: FiniteSpace) -> tuple[str, ...]:
-    return tuple(p for p in space.points if p != space.base)
-
-
 def validate_translation(tr: BasisTranslation) -> None:
     """Raise unless the substitutions are a bijective basis correspondence."""
     sa, sb = tr.space_a, tr.space_b
     if not isinstance(sa, FiniteSpace) or not isinstance(sb, FiniteSpace):
         raise ValueError("cross-basis checks need two finite spaces")
-    if set(tr.a_to_b) != set(_generators(sa)) or set(tr.b_to_a) != set(_generators(sb)):
+    directions = ((sa, sb, tr.a_to_b, tr.b_to_a), (sb, sa, tr.b_to_a, tr.a_to_b))
+    if any(set(there) != set(source.generators) for source, _, there, _ in directions):
         raise ValueError("translation is not a bijective basis correspondence")
-    for gen in _generators(sa):
-        there = tr.a_to_b[gen]
-        back = translate_word(there, tr.b_to_a, sb.base, sa.base)
-        if back != Word((Letter(gen),)):
-            raise ValueError("translation is not a bijective basis correspondence")
-    for gen in _generators(sb):
-        there = tr.b_to_a[gen]
-        back = translate_word(there, tr.a_to_b, sa.base, sb.base)
-        if back != Word((Letter(gen),)):
-            raise ValueError("translation is not a bijective basis correspondence")
+    for source, target, there, back in directions:
+        for gen in source.generators:
+            if translate_word(there[gen], back, target.base, source.base) != Word((Letter(gen),)):
+                raise ValueError("translation is not a bijective basis correspondence")
 
 
 def triangular_translation(m: int) -> BasisTranslation:
@@ -294,22 +287,14 @@ def check_cross_extension(
         raise ValueError("translation does not connect the given spaces")
     validate_translation(tr)  # both spaces are finite from here on
 
-    def to_word_over_s1(point2: str) -> Word:
-        if point2 == s2.base:
-            return Word(())
-        return tr.b_to_a[point2]
-
-    def to_word_over_s2(point1: str) -> Word:
-        if point1 == s1.base:
-            return Word(())
-        return tr.a_to_b[point1]
-
-    for a, b in itertools.combinations(s2.points, 2):
-        if graev_metric(to_word_over_s1(a), to_word_over_s1(b), s1) != s2.dist(a, b):
-            return False
-    for a, b in itertools.combinations(s1.points, 2):
-        if graev_metric(to_word_over_s2(a), to_word_over_s2(b), s2) != s1.dist(a, b):
-            return False
+    for source, target, mapping in ((s2, s1, tr.b_to_a), (s1, s2, tr.a_to_b)):
+        images = {
+            p: translate_word(Word((Letter(p),)), mapping, source.base, target.base)
+            for p in source.points
+        }
+        for a, b in itertools.combinations(source.points, 2):
+            if graev_metric(images[a], images[b], target) != source.dist(a, b):
+                return False
 
     for u, v in itertools.combinations(samples, 2):
         tu = translate_word(u, tr.a_to_b, s1.base, s2.base)

@@ -68,10 +68,6 @@ def matching_to_json(matching: SigmaMatching, cost: Fraction) -> dict:
     }
 
 
-def matching_from_json(data: dict) -> SigmaMatching:
-    return SigmaMatching(k=int(data["k"]), map=tuple(int(v) for v in data["map"]))
-
-
 def is_sigma(alpha: Sequence[int]) -> bool:
     """Literal membership test for the matching class.
 

@@ -103,6 +103,11 @@ class FiniteSpace:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "signed", signed)
 
+    @property
+    def generators(self) -> tuple[str, ...]:
+        """The points other than the base, in point order."""
+        return tuple(p for p in self.points if p != self.base)
+
     def contains(self, p: "Point") -> bool:
         return p in self.points
 

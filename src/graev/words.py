@@ -11,7 +11,6 @@ Words are immutable values; every operation returns a new word.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Sequence, Union
@@ -104,53 +103,6 @@ def cyclic_shift(w: Word, k: int) -> Word:
     return Word(w.letters[k:] + w.letters[:k])
 
 
-_F_POINT = re.compile(r"^f([1-9][0-9]*)$")
-_E_POINT = re.compile(r"^e([1-9][0-9]*)$")
-
-F_TO_E = "f_to_e"
-E_TO_F = "e_to_f"
-
-
-def substitute_basis(w: Word, direction: str, m: int | None = None) -> Word:
-    """Rewrite a word between the triangular pair of free bases.
-
-    Forward (``f_to_e``) sends f_i to e1...ei; the inverse direction sends
-    e1 to f1 and ei to f(i-1)^-1 fi.  The two directions are mutually
-    inverse on reduced words.  Base-point letters (``e``) pass through as
-    the identity.  If ``m`` is given, letter indices above ``m`` are
-    rejected.
-    """
-    if direction == F_TO_E:
-        pattern, source = _F_POINT, "f"
-    elif direction == E_TO_F:
-        pattern, source = _E_POINT, "e"
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-
-    out: list[Letter] = []
-    for letter in w:
-        if letter.point == "e":
-            continue
-        if not isinstance(letter.point, str):
-            raise ValueError(f"alphabet mismatch: {letter.point!r} is not a {source}-generator")
-        match = pattern.match(letter.point)
-        if match is None:
-            raise ValueError(f"alphabet mismatch: {letter.point!r} is not a {source}-generator")
-        i = int(match.group(1))
-        if m is not None and i > m:
-            raise ValueError(f"alphabet mismatch: {letter.point!r} exceeds rank {m}")
-        if direction == F_TO_E:
-            image = [Letter(f"e{j}") for j in range(1, i + 1)]
-        elif i == 1:
-            image = [Letter("f1")]
-        else:
-            image = [Letter(f"f{i - 1}", -1), Letter(f"f{i}")]
-        if letter.sign < 0:
-            image = [img.inverse() for img in reversed(image)]
-        out.extend(image)
-    return free_reduce(Word(tuple(out)), "e")
-
-
 def enumerate_reduced_words(alphabet: Sequence[Letter], max_len: int) -> Iterator[Word]:
     """All reduced words of length <= max_len over a signed alphabet.
 
@@ -195,23 +147,26 @@ def parse_word(text: str, space: "Space") -> Word:
 
 
 def parse_letter(token: str, space: "Space") -> Letter:
+    shown = repr(token if len(token) <= 40 else token[:40] + "…")  # one short error line
     body, sign = token, 1
     if token.endswith("^-1"):
         body, sign = token[:-3], -1
     elif "^" in token:
-        raise WordParseError(f"bad letter token {token!r}: only a ^-1 suffix is supported")
+        raise WordParseError(f"bad letter token {shown}: only a ^-1 suffix is supported")
     if not body:
-        raise WordParseError(f"bad letter token {token!r}: empty point")
+        raise WordParseError(f"bad letter token {shown}: empty point")
     if space.kind == "interval":
         try:
             point: Point = parse_rational(body)
-        except ValueError:
-            raise WordParseError(f"bad letter token {token!r}: not a rational point") from None
+        except ValueError as err:
+            # parse_rational names a reason after "bad rational: ", else echoes the text
+            reason = str(err).partition("bad rational: ")[2] or "not a rational point"
+            raise WordParseError(f"bad letter token {shown}: {reason}") from None
         if not space.contains(point):
-            raise WordParseError(f"bad letter token {token!r}: point outside [0, 1]")
+            raise WordParseError(f"bad letter token {shown}: point outside [0, 1]")
     else:
         if not space.contains(body):
-            raise WordParseError(f"bad letter token {token!r}: unknown point of the space")
+            raise WordParseError(f"bad letter token {shown}: unknown point of the space")
         point = body
     return Letter(point, sign)
 

@@ -283,6 +283,15 @@ def test_rationals_outside_the_documented_forms_are_usage_errors(capsys, argv):
     assert err.startswith("error: bad ") and err.count("\n") == 1, err
 
 
+def test_overlong_interval_letter_names_the_digit_limit(capsys):
+    code, out, err = run_cli(capsys, "norm", "1/" + "3" * RATIONAL_DIGITS_MAX)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 200, err
+    assert f"digits is above the limit of {RATIONAL_DIGITS_MAX}" in err
+    _, _, err = run_cli(capsys, "norm", "1/x")
+    assert err == "error: bad letter token '1/x': not a rational point\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -456,7 +465,7 @@ def test_cli_import_leaves_the_suite_unloaded():
 def test_every_exported_name_resolves():
     import graev
 
-    assert len(graev.__all__) == len(set(graev.__all__)) == 50
+    assert len(graev.__all__) == len(set(graev.__all__)) == 49
     for name in graev.__all__:
         value = getattr(graev, name)
         module = importlib.import_module(f"graev.{graev._MODULE_OF[name]}")

@@ -1,0 +1,31 @@
+"""Every demo script runs to completion against the source tree."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def run_demo(path: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(path)], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(path):
+    proc = run_demo(path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_demo_01_basis_change_lines():
+    proc = run_demo(ROOT / "demos" / "01_words_and_reduction.py")
+    assert proc.stdout.splitlines()[-3:] == [
+        "f-basis word:  f2 f1^-1",
+        "as e-word:     e1 e2 e1^-1",
+        "round trip:    f2 f1^-1",
+    ]

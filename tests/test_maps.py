@@ -278,6 +278,48 @@ def test_translate_word_handles_inverses():
     assert got == parse_word("e2^-1", star_space(2))
 
 
+def substitute(word, mapping):
+    return translate_word(word, mapping, "e", "e")
+
+
+def test_substitute_single_f_generator():
+    tr = triangular_translation(2)
+    assert substitute(parse_word("f2", tr.space_a), tr.a_to_b) == parse_word("e1 e2", STAR3)
+
+
+def test_substitute_inverse_letter():
+    tr = triangular_translation(1)
+    assert substitute(parse_word("f1^-1", tr.space_a), tr.a_to_b) == parse_word("e1^-1", STAR3)
+
+
+def test_substitute_then_reduce():
+    tr = triangular_translation(2)
+    got = substitute(parse_word("f2 f1^-1", tr.space_a), tr.a_to_b)
+    assert got == parse_word("e1 e2 e1^-1", STAR3)
+
+
+def test_substitute_rejects_wrong_alphabet():
+    tr = triangular_translation(2)
+    with pytest.raises(ValueError, match="no translation for generator"):
+        substitute(parse_word("e1", STAR3), tr.a_to_b)
+    with pytest.raises(ValueError, match="no translation for generator"):
+        substitute(parse_word("f3", chain_space(3)), tr.a_to_b)
+
+
+def test_substitute_roundtrip_exhaustive_rank2():
+    tr = triangular_translation(2)
+    alphabet = signed_alphabet(("f1", "f2"))
+    for word in enumerate_reduced_words(alphabet, 6):
+        assert substitute(substitute(word, tr.a_to_b), tr.b_to_a) == word
+
+
+def test_substitute_roundtrip_on_e_words():
+    tr = triangular_translation(3)
+    alphabet = signed_alphabet(("e1", "e2", "e3"))
+    for word in enumerate_reduced_words(alphabet, 4):
+        assert substitute(substitute(word, tr.b_to_a), tr.a_to_b) == word
+
+
 def test_map_json_roundtrip():
     h = PointMap.scaling(frac("1/2"))
     assert map_from_json(map_to_json(h), INTERVAL) == h

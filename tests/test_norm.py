@@ -13,7 +13,6 @@ from graev.norm import (
     graev_norm,
     integer_costs,
     interval_fill,
-    matching_from_json,
     matching_to_json,
     norm_bruteforce,
     norm_dp,
@@ -327,4 +326,3 @@ def test_matching_json_schema_and_roundtrip():
         "pairs": [[1, 3]],
         "fixed": [2],
     }
-    assert matching_from_json(payload) == matching

@@ -4,7 +4,7 @@ import pytest
 
 from fractions import Fraction
 
-from graev.spaces import INTERVAL, chain_space, star_space
+from graev.spaces import INTERVAL, star_space
 from graev.words import (
     Letter,
     Word,
@@ -19,7 +19,6 @@ from graev.words import (
     is_reduced,
     parse_word,
     signed_alphabet,
-    substitute_basis,
 )
 
 STAR3 = star_space(3)
@@ -121,41 +120,6 @@ def test_cyclic_shift_zero_is_identity():
 def test_cyclic_shift_full_rotation():
     word = w("e1 e2")
     assert cyclic_shift(word, 2) == word
-
-
-def test_substitute_single_f_generator():
-    chain = chain_space(2)
-    assert substitute_basis(parse_word("f2", chain), "f_to_e") == w("e1 e2")
-
-
-def test_substitute_inverse_letter():
-    chain = chain_space(1)
-    assert substitute_basis(parse_word("f1^-1", chain), "f_to_e") == w("e1^-1")
-
-
-def test_substitute_then_reduce():
-    chain = chain_space(2)
-    assert substitute_basis(parse_word("f2 f1^-1", chain), "f_to_e") == w("e1 e2 e1^-1")
-
-
-def test_substitute_rejects_wrong_alphabet():
-    with pytest.raises(ValueError, match="alphabet mismatch"):
-        substitute_basis(w("e1"), "f_to_e")
-    with pytest.raises(ValueError, match="alphabet mismatch"):
-        substitute_basis(parse_word("f3", chain_space(3)), "f_to_e", m=2)
-
-
-def test_substitute_roundtrip_exhaustive_rank2():
-    chain = chain_space(2)
-    alphabet = signed_alphabet(("f1", "f2"))
-    for word in enumerate_reduced_words(alphabet, 6):
-        assert substitute_basis(substitute_basis(word, "f_to_e"), "e_to_f") == word
-
-
-def test_substitute_roundtrip_on_e_words():
-    alphabet = signed_alphabet(("e1", "e2", "e3"))
-    for word in enumerate_reduced_words(alphabet, 4):
-        assert substitute_basis(substitute_basis(word, "e_to_f"), "f_to_e") == word
 
 
 def test_enumerate_reduced_words_counts():
