@@ -380,22 +380,29 @@ def decomposition_to_json(d: ConjugateDecomposition) -> dict:
     }
 
 
+def _field(data: dict, key: str):
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"certificate file is missing field {key!r}") from None
+
+
 def _json_int(data: dict, key: str) -> int:
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    value = _field(data, key)
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"field {key!r} must be an integer")
-    return int(value)
+    return value
 
 
 def _json_str(data: dict, key: str) -> str:
-    value = data[key]
+    value = _field(data, key)
     if not isinstance(value, str):
         raise ValueError(f"field {key!r} must be a string")
     return value
 
 
 def _json_list(data: dict, key: str, item) -> list:
-    value = data[key]
+    value = _field(data, key)
     if not isinstance(value, list) or not all(isinstance(x, item) for x in value):
         kind = "strings" if item is str else "objects"
         raise ValueError(f"field {key!r} must be a list of {kind}")

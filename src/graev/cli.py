@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -21,6 +22,18 @@ from .norm import graev_metric, is_sigma, matching_to_json, norm_dp
 from .rationals import parse_rational
 from .spaces import Space, read_json, resolve_space, star_space
 from .words import format_word, free_reduce, parse_word
+
+
+# ASCII digits with an optional sign, as for rationals: int() alone would also
+# take underscores and other scripts' digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def integer(text: str) -> int:
+    """Parse an integer argument; argparse names this function in its errors."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"bad integer {text!r}")
+    return int(text)
 
 
 def _space(args: argparse.Namespace, default: str = "interval") -> Space:
@@ -125,7 +138,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_check_sigma(args: argparse.Namespace) -> int:
     text = args.permutation.replace(",", " ")
     try:
-        image = [int(token) for token in text.split()]
+        image = [integer(token) for token in text.split()]
     except ValueError:
         raise ValueError(f"bad permutation {args.permutation!r}: expected integers") from None
     verdict = is_sigma(image)
@@ -211,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="built-in space name (interval, lemma32-m<k>) or a space JSON file",
     )
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
+    common.add_argument("--seed", type=integer, default=0, help="seed for randomized runs")
 
     parser = argparse.ArgumentParser(
         prog="graev",
@@ -231,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser(
         "decompose", parents=[common], help="conjugate decomposition over the star space"
     )
-    p_dec.add_argument("--m", type=int, required=True, help="number of star generators")
+    p_dec.add_argument("--m", type=integer, required=True, help="number of star generators")
     p_dec.add_argument("word")
     p_dec.set_defaults(func=_cmd_decompose)
 
@@ -242,9 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", parents=[common], help="search for a power certificate")
     p_search.add_argument("word")
     p_search.add_argument("--c", required=True, help="norm-ball radius (rational)")
-    p_search.add_argument("--n", type=int, default=3, help="power exponent (odd, >= 3)")
-    p_search.add_argument("--budget-factors", type=int, default=3)
-    p_search.add_argument("--budget-length", type=int, default=2)
+    p_search.add_argument("--n", type=integer, default=3, help="power exponent (odd, >= 3)")
+    p_search.add_argument("--budget-factors", type=integer, default=3)
+    p_search.add_argument("--budget-length", type=integer, default=2)
     p_search.set_defaults(func=_cmd_search)
 
     p_sigma = sub.add_parser(
@@ -262,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", parents=[common], help="run the property suites")
     p_suite.add_argument("--select", default="all", help="suite selection (default: all)")
-    p_suite.add_argument("--cases", type=int, default=100, help="cases per property")
+    p_suite.add_argument("--cases", type=integer, default=100, help="cases per property")
     p_suite.set_defaults(func=_cmd_suite)
 
     return parser

@@ -170,11 +170,6 @@ class PartialContraction:
             if not 0 <= t <= 1 or not 0 <= v <= 1:
                 raise ValueError("anchors and values must lie in [0, 1]")
 
-    @staticmethod
-    def from_pairs(pairs: Mapping[Fraction, Fraction]) -> "PartialContraction":
-        pts = tuple(sorted(pairs))
-        return PartialContraction(pts, tuple(pairs[t] for t in pts))
-
 
 def extend_partial_contraction(p: PartialContraction) -> PointMap:
     """Extend to a piecewise-linear contraction of all of [0, 1].

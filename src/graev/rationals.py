@@ -23,8 +23,9 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise ValueError(f"bad rational {text!r}: expected text such as '2/5'")
     body = text.strip()
+    shown = repr(text if len(text) <= 40 else text[:40] + "…")  # one short error line
     if not _RATIONAL.fullmatch(body):
-        raise ValueError(f"bad rational {text!r}")
+        raise ValueError(f"bad rational {shown}")
     digits = sum(ch.isdigit() for ch in body)
     if digits > RATIONAL_DIGITS_MAX:
         raise ValueError(
@@ -33,4 +34,4 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(body)
     except ZeroDivisionError:
-        raise ValueError(f"bad rational {text!r}") from None
+        raise ValueError(f"bad rational {shown}") from None

@@ -1,10 +1,14 @@
 """Seeded property suites over every part of the library.
 
-Each property runs a fixed number of cases drawn from its own
-deterministically seeded generator, so a (seed, cases) pair pins the whole
-run byte for byte.  Results carry pass/fail counts and the first
-counterexample; the CLI renders them as a table and the acceptance tests
-re-run them at larger case counts.
+Every property is a stream of outcomes, ``None`` for a case that holds and a
+counterexample for one that fails, counted by ``_tally``.  ``_run`` makes the
+stream for a random property: case i calls its check with the property's own
+generator, seeded by (seed, name), and ``cycle[i % len(cycle)]``, the space or
+star rank the case is about (``None`` if the check needs neither), so a
+(seed, cases) pair pins the whole run byte for byte.  The exhaustive
+properties stream a fixed list of cases whatever the case count.  Results
+carry pass/fail counts and the first counterexample; the CLI renders them as
+a table and the acceptance tests re-run them at larger case counts.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .certificates import (
     PowerCertificate,
@@ -78,21 +82,23 @@ class PropertyResult:
         return self.failures == 0
 
 
-def _rng(seed: int, name: str) -> random.Random:
-    return random.Random(f"{seed}:{name}")
-
-
-def _run(name: str, total: int, check: Callable[[random.Random, int], Optional[str]], seed: int) -> PropertyResult:
-    rng = _rng(seed, name)
-    failures = 0
+def _tally(name: str, outcomes: Iterable[Optional[str]]) -> PropertyResult:
+    """Count the outcomes and the failures (non-None) among them; keep the first failure."""
+    cases = failures = 0
     counterexample = None
-    for index in range(total):
-        fail = check(rng, index)
+    for fail in outcomes:
+        cases += 1
         if fail is not None:
             failures += 1
             if counterexample is None:
                 counterexample = fail
-    return PropertyResult(name, total, failures, counterexample)
+    return PropertyResult(name, cases, failures, counterexample)
+
+
+def _run(name: str, total: int, check: Callable[[random.Random, Any], Optional[str]], seed: int,
+         cycle: Sequence[Any] = (None,)) -> PropertyResult:
+    rng = random.Random(f"{seed}:{name}")
+    return _tally(name, (check(rng, cycle[i % len(cycle)]) for i in range(total)))
 
 
 # random generators
@@ -153,8 +159,8 @@ def random_star_contraction(rng: random.Random, space: FiniteSpace) -> PointMap:
     return PointMap.from_table(space, space, table)
 
 
-def random_partial_contraction(rng: random.Random, max_anchors: int = 6) -> PartialContraction:
-    count = rng.randint(1, max_anchors)
+def random_partial_contraction(rng: random.Random) -> PartialContraction:
+    count = rng.randint(1, 6)
     pts = {Fraction(0)}
     while len(pts) < count:
         pts.add(random_rational(rng, max_den=12))
@@ -180,12 +186,12 @@ def random_contraction(rng: random.Random, space: Space) -> PointMap:
     return random_interval_contraction(rng)
 
 
-def random_conjugate_product(rng: random.Random, m: int, max_conjugator: int = 3) -> Word:
+def random_conjugate_product(rng: random.Random, m: int) -> Word:
     """A product of exactly m-1 conjugated letters (letters may be the identity)."""
     space = star_space(m)
     product = Word(())
     for _ in range(m - 1):
-        g = random_reduced_word(rng, space, max_conjugator)
+        g = random_reduced_word(rng, space, 3)
         if rng.random() < 0.15:
             a = Letter("e")
         else:
@@ -243,8 +249,7 @@ def words_suite(seed: int, cases: int) -> list[PropertyResult]:
     spaces = _test_spaces()
     triangular = triangular_translation(3)
 
-    def reduction_check(rng, index):
-        space = spaces[index % len(spaces)]
+    def reduction_check(rng, space):
         w = random_any_word(rng, space, 12, base_prob=0.2)
         canonical = free_reduce(w, space.base)
         if free_reduce(canonical, space.base) != canonical:
@@ -262,14 +267,13 @@ def words_suite(seed: int, cases: int) -> list[PropertyResult]:
                 )
         return None
 
-    def inverse_check(rng, index):
-        space = spaces[index % len(spaces)]
+    def inverse_check(rng, space):
         w = random_any_word(rng, space, 8)
         if concat(w, invert_word(w), space.base) != Word(()):
             return f"w * w^-1 /= 1 for '{format_word(w)}'"
         return None
 
-    def roundtrip_check(rng, index):
+    def roundtrip_check(rng, _):
         chain, star = triangular.space_a, triangular.space_b
         w = random_reduced_word(rng, chain, 6)
         there = translate_word(w, triangular.a_to_b, chain.base, star.base)
@@ -279,42 +283,31 @@ def words_suite(seed: int, cases: int) -> list[PropertyResult]:
         return None
 
     return [
-        _run("reduction-confluent", cases, reduction_check, seed),
-        _run("inverse-cancels", cases, inverse_check, seed),
+        _run("reduction-confluent", cases, reduction_check, seed, spaces),
+        _run("inverse-cancels", cases, inverse_check, seed, spaces),
         _run("basis-substitution-roundtrip", cases, roundtrip_check, seed),
     ]
 
 
 def spaces_suite(seed: int, cases: int) -> list[PropertyResult]:
-    results = []
+    def finite_outcomes():
+        for space in (star_space(2), star_space(3), chain_space(3)):
+            letters = signed_alphabet(space.points)
+            for a in letters:
+                for b in letters:
+                    dab = tilde_dist(a, b, space)
+                    same = a.point == b.point and (
+                        a.sign == b.sign or a.point == space.base
+                    )
+                    ok = dab >= 0 and (dab == 0) == same and dab == tilde_dist(b, a, space)
+                    if ok and all(
+                        dab <= tilde_dist(a, c, space) + tilde_dist(c, b, space) for c in letters
+                    ):
+                        yield None
+                    else:
+                        yield f"axiom broke at ({format_word(Word((a,)))}, {format_word(Word((b,)))})"
 
-    finite_failures = 0
-    finite_cases = 0
-    finite_ce = None
-    for space in (star_space(2), star_space(3), chain_space(3)):
-        letters = signed_alphabet(space.points)
-        for a in letters:
-            for b in letters:
-                finite_cases += 1
-                dab = tilde_dist(a, b, space)
-                same = a.point == b.point and (
-                    a.sign == b.sign or a.point == space.base
-                )
-                ok = dab >= 0 and (dab == 0) == same and dab == tilde_dist(b, a, space)
-                if ok:
-                    for c in letters:
-                        if dab > tilde_dist(a, c, space) + tilde_dist(c, b, space):
-                            ok = False
-                            break
-                if not ok:
-                    finite_failures += 1
-                    if finite_ce is None:
-                        finite_ce = f"axiom broke at ({format_word(Word((a,)))}, {format_word(Word((b,)))})"
-    results.append(
-        PropertyResult("tilde-dist-axioms-finite-exhaustive", finite_cases, finite_failures, finite_ce)
-    )
-
-    def interval_check(rng, index):
+    def interval_check(rng, _):
         letters = [random_letter(rng, INTERVAL, allow_base=True) for _ in range(3)]
         a, b, c = letters
         dab = tilde_dist(a, b, INTERVAL)
@@ -327,8 +320,7 @@ def spaces_suite(seed: int, cases: int) -> list[PropertyResult]:
             return f"identity axiom broke at {a}, {b}"
         return None
 
-    def sign_rules_check(rng, index):
-        space = _test_spaces()[index % 3]
+    def sign_rules_check(rng, space):
         a = random_letter(rng, space, allow_base=True)
         b = random_letter(rng, space, allow_base=True)
         if tilde_dist(a, b, space) != tilde_dist(a.inverse(), b.inverse(), space):
@@ -340,42 +332,38 @@ def spaces_suite(seed: int, cases: int) -> list[PropertyResult]:
             return f"positive restriction differs from d at {a}, {b}"
         return None
 
-    results.append(_run("tilde-dist-axioms-interval-random", cases, interval_check, seed))
-    results.append(_run("tilde-dist-sign-rules", cases, sign_rules_check, seed))
-    return results
+    return [
+        _tally("tilde-dist-axioms-finite-exhaustive", finite_outcomes()),
+        _run("tilde-dist-axioms-interval-random", cases, interval_check, seed),
+        _run("tilde-dist-sign-rules", cases, sign_rules_check, seed, _test_spaces()),
+    ]
 
 
-def sigma_suite(max_k: int = 8) -> list[PropertyResult]:
-    count_failures = 0
-    count_ce = None
-    for k in range(1, max_k + 1):
+def sigma_suite() -> list[PropertyResult]:
+    def count_outcome(k):
         got = len(enumerate_sigma(k))
         want = MOTZKIN_1_TO_8[k - 1]
-        if got != want:
-            count_failures += 1
-            if count_ce is None:
-                count_ce = f"k={k}: {got} matchings, expected {want}"
-    structural_failures = 0
-    structural_ce = None
-    for k in range(1, max_k + 1):
+        return None if got == want else f"k={k}: {got} matchings, expected {want}"
+
+    def structural_outcome(k):
         literal = {matching.map for matching in enumerate_sigma(k)}
         structural = noncrossing_involutions(k)
-        if literal != structural:
-            structural_failures += 1
-            if structural_ce is None:
-                diff = (literal ^ structural) or {()}
-                structural_ce = f"k={k}: sets differ at {sorted(diff)[0]}"
+        if literal == structural:
+            return None
+        diff = (literal ^ structural) or {()}
+        return f"k={k}: sets differ at {sorted(diff)[0]}"
+
+    ks = range(1, len(MOTZKIN_1_TO_8) + 1)
     return [
-        PropertyResult("sigma-motzkin-counts", max_k, count_failures, count_ce),
-        PropertyResult("sigma-structural-equality", max_k, structural_failures, structural_ce),
+        _tally("sigma-motzkin-counts", map(count_outcome, ks)),
+        _tally("sigma-structural-equality", map(structural_outcome, ks)),
     ]
 
 
 def oracle_suite(seed: int, cases: int) -> list[PropertyResult]:
     spaces = _test_spaces()
 
-    def agree_check(rng, index):
-        space = spaces[index % len(spaces)]
+    def agree_check(rng, space):
         w = random_any_word(rng, space, 8, base_prob=0.05)
         brute = norm_bruteforce(w, space)
         value, _ = norm_dp(w, space)
@@ -383,8 +371,7 @@ def oracle_suite(seed: int, cases: int) -> list[PropertyResult]:
             return f"dp {value} /= brute force {brute} on '{format_word(w)}'"
         return None
 
-    def matching_check(rng, index):
-        space = spaces[index % len(spaces)]
+    def matching_check(rng, space):
         w = random_any_word(rng, space, 8, base_prob=0.05)
         value, matching = norm_dp(w, space)
         if len(w) and not is_sigma(matching.map):
@@ -397,16 +384,15 @@ def oracle_suite(seed: int, cases: int) -> list[PropertyResult]:
         return None
 
     return [
-        _run("oracle-dp-equals-bruteforce", cases, agree_check, seed),
-        _run("oracle-matching-consistent", cases, matching_check, seed),
+        _run("oracle-dp-equals-bruteforce", cases, agree_check, seed, spaces),
+        _run("oracle-matching-consistent", cases, matching_check, seed, spaces),
     ]
 
 
 def norm_suite(seed: int, cases: int) -> list[PropertyResult]:
     spaces = _test_spaces()
 
-    def zero_check(rng, index):
-        space = spaces[index % len(spaces)]
+    def zero_check(rng, space):
         w = random_any_word(rng, space, 8, base_prob=0.2)
         value = graev_norm(w, space)
         reduced_empty = len(free_reduce(w, space.base)) == 0
@@ -414,23 +400,20 @@ def norm_suite(seed: int, cases: int) -> list[PropertyResult]:
             return f"zero norm mismatch on '{format_word(w)}' (N = {value})"
         return None
 
-    def symmetry_check(rng, index):
-        space = spaces[index % len(spaces)]
+    def symmetry_check(rng, space):
         w = random_any_word(rng, space, 8)
         if graev_norm(w, space) != graev_norm(invert_word(w), space):
             return f"N(w) /= N(w^-1) on '{format_word(w)}'"
         return None
 
-    def subadditive_check(rng, index):
-        space = spaces[index % len(spaces)]
+    def subadditive_check(rng, space):
         u = random_any_word(rng, space, 6)
         v = random_any_word(rng, space, 6)
         if graev_norm(concat(u, v, space.base), space) > graev_norm(u, space) + graev_norm(v, space):
             return f"subadditivity broke on '{format_word(u)}' * '{format_word(v)}'"
         return None
 
-    def representation_check(rng, index):
-        space = spaces[index % len(spaces)]
+    def representation_check(rng, space):
         base_word = random_reduced_word(rng, space, 4)
         inflated = insert_cancelling_pairs(rng, base_word, rng.randint(1, 3), space)
         canonical, _ = norm_dp(base_word, space)
@@ -441,24 +424,21 @@ def norm_suite(seed: int, cases: int) -> list[PropertyResult]:
             return f"brute force changed between '{format_word(base_word)}' and '{format_word(inflated)}'"
         return None
 
-    def conjugation_check(rng, index):
-        space = spaces[index % len(spaces)]
+    def conjugation_check(rng, space):
         w = random_any_word(rng, space, 5)
         g = random_any_word(rng, space, 3)
         if graev_norm(conjugate(g, w, space.base), space) != graev_norm(w, space):
             return f"N(gwg^-1) /= N(w) for g='{format_word(g)}', w='{format_word(w)}'"
         return None
 
-    def shift_check(rng, index):
-        space = spaces[index % len(spaces)]
+    def shift_check(rng, space):
         w = random_reduced_word(rng, space, 8)
         k = rng.randint(0, max(len(w), 1))
         if graev_norm(cyclic_shift(w, k), space) != graev_norm(w, space):
             return f"cyclic shift by {k} changed the norm of '{format_word(w)}'"
         return None
 
-    def extension_check(rng, index):
-        space = spaces[index % len(spaces)]
+    def extension_check(rng, space):
         x = random_letter(rng, space, allow_base=True)
         y = random_letter(rng, space, allow_base=True)
         u, v = Word((Letter(x.point),)), Word((Letter(y.point),))
@@ -466,16 +446,14 @@ def norm_suite(seed: int, cases: int) -> list[PropertyResult]:
             return f"metric does not extend d at ({x.point}, {y.point})"
         return None
 
-    def upper_bound_check(rng, index):
-        space = spaces[index % len(spaces)]
+    def upper_bound_check(rng, space):
         w = random_any_word(rng, space, 8)
         bound = sum((fixed_cost(letter, space) for letter in w), Fraction(0))
         if norm_dp(w, space)[0] > bound:
             return f"norm above the letter-sum bound on '{format_word(w)}'"
         return None
 
-    def metric_axioms_check(rng, index):
-        space = spaces[index % len(spaces)]
+    def metric_axioms_check(rng, space):
         u = random_any_word(rng, space, 4)
         v = random_any_word(rng, space, 4)
         z = random_any_word(rng, space, 4)
@@ -487,23 +465,22 @@ def norm_suite(seed: int, cases: int) -> list[PropertyResult]:
         return None
 
     return [
-        _run("norm-zero-iff-identity", cases, zero_check, seed),
-        _run("norm-symmetric-under-inversion", cases, symmetry_check, seed),
-        _run("norm-subadditive", cases, subadditive_check, seed),
-        _run("norm-representation-independent", cases, representation_check, seed),
-        _run("norm-conjugation-invariant", cases, conjugation_check, seed),
-        _run("norm-cyclic-shift-invariant", cases, shift_check, seed),
-        _run("metric-extends-point-distances", cases, extension_check, seed),
-        _run("norm-letter-sum-upper-bound", cases, upper_bound_check, seed),
-        _run("metric-axioms-on-words", cases, metric_axioms_check, seed),
+        _run("norm-zero-iff-identity", cases, zero_check, seed, spaces),
+        _run("norm-symmetric-under-inversion", cases, symmetry_check, seed, spaces),
+        _run("norm-subadditive", cases, subadditive_check, seed, spaces),
+        _run("norm-representation-independent", cases, representation_check, seed, spaces),
+        _run("norm-conjugation-invariant", cases, conjugation_check, seed, spaces),
+        _run("norm-cyclic-shift-invariant", cases, shift_check, seed, spaces),
+        _run("metric-extends-point-distances", cases, extension_check, seed, spaces),
+        _run("norm-letter-sum-upper-bound", cases, upper_bound_check, seed, spaces),
+        _run("metric-axioms-on-words", cases, metric_axioms_check, seed, spaces),
     ]
 
 
 def contraction_suite(seed: int, cases: int) -> list[PropertyResult]:
     spaces = _test_spaces()
 
-    def monotone_check(rng, index):
-        space = spaces[index % len(spaces)]
+    def monotone_check(rng, space):
         h = random_contraction(rng, space)
         if not check_contraction(h):
             return "generated map failed the contraction check"
@@ -512,7 +489,7 @@ def contraction_suite(seed: int, cases: int) -> list[PropertyResult]:
             return f"norm grew under a contraction on '{format_word(w)}'"
         return None
 
-    def scaling_check(rng, index):
+    def scaling_check(rng, _):
         gamma = random_rational(rng, max_den=10, allow_zero=False)
         w = random_any_word(rng, INTERVAL, 6)
         scaled, law = scaling_norm_law(gamma, w)
@@ -520,8 +497,7 @@ def contraction_suite(seed: int, cases: int) -> list[PropertyResult]:
             return f"scaling law broke for gamma={gamma} on '{format_word(w)}'"
         return None
 
-    def transport_check(rng, index):
-        space = spaces[index % len(spaces)]
+    def transport_check(rng, space):
         cert = random_power_certificate(rng, space, rng.choice((3, 5)))
         h = random_contraction(rng, space)
         moved = transport_certificate(cert, h)
@@ -530,14 +506,14 @@ def contraction_suite(seed: int, cases: int) -> list[PropertyResult]:
         return None
 
     return [
-        _run("contraction-norm-monotone", cases, monotone_check, seed),
+        _run("contraction-norm-monotone", cases, monotone_check, seed, spaces),
         _run("scaling-norm-exact", cases, scaling_check, seed),
-        _run("certificate-transport-verifies", cases, transport_check, seed),
+        _run("certificate-transport-verifies", cases, transport_check, seed, spaces),
     ]
 
 
 def extension_suite(seed: int, cases: int) -> list[PropertyResult]:
-    def anchors_check(rng, index):
+    def anchors_check(rng, _):
         partial = random_partial_contraction(rng)
         extended = extend_partial_contraction(partial)
         for t, v in zip(partial.points, partial.values):
@@ -545,7 +521,7 @@ def extension_suite(seed: int, cases: int) -> list[PropertyResult]:
                 return f"extension disagrees with the anchors at t={t}"
         return None
 
-    def slopes_check(rng, index):
+    def slopes_check(rng, _):
         partial = random_partial_contraction(rng)
         extended = extend_partial_contraction(partial)
         for (x0, y0), (x1, y1) in zip(extended.breakpoints, extended.breakpoints[1:]):
@@ -555,7 +531,7 @@ def extension_suite(seed: int, cases: int) -> list[PropertyResult]:
             return "extension failed the contraction check"
         return None
 
-    def pair_check(rng, index):
+    def pair_check(rng, _):
         partial = random_partial_contraction(rng)
         extended = extend_partial_contraction(partial)
         s = random_rational(rng, max_den=24)
@@ -572,8 +548,7 @@ def extension_suite(seed: int, cases: int) -> list[PropertyResult]:
 
 
 def decompose_suite(seed: int, cases: int) -> list[PropertyResult]:
-    def equivalence_check(rng, index):
-        m = 2 + index % 2
+    def equivalence_check(rng, m):
         space = star_space(m)
         w = random_reduced_word(rng, space, 6)
         value = graev_norm(w, space)
@@ -587,8 +562,7 @@ def decompose_suite(seed: int, cases: int) -> list[PropertyResult]:
                 return f"produced decomposition failed verification on '{format_word(w)}'"
         return None
 
-    def product_ball_check(rng, index):
-        m = 2 + index % 3
+    def product_ball_check(rng, m):
         space = star_space(m)
         w = random_conjugate_product(rng, m)
         if graev_norm(w, space) > m - 1:
@@ -597,8 +571,7 @@ def decompose_suite(seed: int, cases: int) -> list[PropertyResult]:
             return f"product of conjugated letters left the ball on '{format_word(w)}'"
         return None
 
-    def integral_check(rng, index):
-        m = 2 + index % 2
+    def integral_check(rng, m):
         space = star_space(m)
         w = random_reduced_word(rng, space, 8)
         value = graev_norm(w, space)
@@ -607,15 +580,14 @@ def decompose_suite(seed: int, cases: int) -> list[PropertyResult]:
         return None
 
     return [
-        _run("ball-decomposition-equivalence", cases, equivalence_check, seed),
-        _run("conjugate-products-stay-in-ball", cases, product_ball_check, seed),
-        _run("star-norm-integral", cases, integral_check, seed),
+        _run("ball-decomposition-equivalence", cases, equivalence_check, seed, (2, 3)),
+        _run("conjugate-products-stay-in-ball", cases, product_ball_check, seed, (2, 3, 4)),
+        _run("star-norm-integral", cases, integral_check, seed, (2, 3)),
     ]
 
 
 def rescale_suite(seed: int, cases: int) -> list[PropertyResult]:
-    def rescale_check(rng, index):
-        m = 2 + index % 2
+    def rescale_check(rng, m):
         alphabet = grid_alphabet(m)
         length = rng.randint(0, 5)
         letters = [rng.choice(alphabet) for _ in range(length)]
@@ -625,17 +597,11 @@ def rescale_suite(seed: int, cases: int) -> list[PropertyResult]:
             return f"rescale law broke for m={m} on '{format_word(w)}'"
         return None
 
-    results = [_run("grid-rescale-norm-law", cases, rescale_check, seed)]
-
-    rng = _rng(seed, "cross-basis-agreement")
-    pair_target = max(cases, 1)
     n_words = 2
-    while n_words * (n_words - 1) // 2 < pair_target:
+    while n_words * (n_words - 1) // 2 < max(cases, 1):
         n_words += 1
-    failures = 0
-    checked = 0
-    counterexample = None
-    for m in (2, 3):
+
+    def agreement_check(rng, m):
         chain = chain_space(m)
         samples = []
         seen = set()
@@ -644,39 +610,34 @@ def rescale_suite(seed: int, cases: int) -> list[PropertyResult]:
             if w not in seen:
                 seen.add(w)
                 samples.append(w)
-        checked += n_words * (n_words - 1) // 2
         if not check_cross_extension(chain, star_space(m), triangular_translation(m), samples):
-            failures += 1
-            if counterexample is None:
-                counterexample = f"cross-basis agreement failed at rank {m}"
-    results.append(PropertyResult("cross-basis-agreement", checked, failures, counterexample))
-    return results
+            return f"cross-basis agreement failed at rank {m}"
+        return None
+
+    rescale = _run("grid-rescale-norm-law", cases, rescale_check, seed, (2, 3))
+    agreement = _run("cross-basis-agreement", 2, agreement_check, seed, (2, 3))
+    agreement.cases *= n_words * (n_words - 1) // 2  # the word pairs compared at each rank
+    return [rescale, agreement]
 
 
 def pigeonhole_suite(seed: int, cases: int) -> list[PropertyResult]:
-    def pigeonhole_check(rng, index):
-        m = 2 + index % 4
+    def pigeonhole_check(rng, m):
         w = random_conjugate_product(rng, m)
         sums = [exponent_sum(w, f"e{i}") for i in range(1, m + 1)]
         if 0 not in sums:
             return f"no zero exponent sum in '{format_word(w)}' (sums {sums})"
         return None
 
-    fires_failures = 0
-    fires_cases = 0
-    fires_ce = None
-    for n in (3, 5):
-        for k in range(1, n):
-            fires_cases += 1
-            w = word_power(Word((Letter("e1"), Letter("e2"))), k, "e")
-            if exponent_obstruction(w, 2, n) is None:
-                fires_failures += 1
-                if fires_ce is None:
-                    fires_ce = f"no obstruction for (e1 e2)^{k} with n={n}"
-    fires = PropertyResult("obstruction-fires-on-skew-powers", fires_cases, fires_failures, fires_ce)
+    def fires_outcomes():
+        for n in (3, 5):
+            for k in range(1, n):
+                w = word_power(Word((Letter("e1"), Letter("e2"))), k, "e")
+                if exponent_obstruction(w, 2, n) is None:
+                    yield f"no obstruction for (e1 e2)^{k} with n={n}"
+                else:
+                    yield None
 
-    def silent_check(rng, index):
-        m = 2 + index % 3
+    def silent_check(rng, m):
         n = rng.choice((3, 5))
         w = random_conjugate_product(rng, m)
         for _ in range(rng.randint(0, 2)):
@@ -687,9 +648,9 @@ def pigeonhole_suite(seed: int, cases: int) -> list[PropertyResult]:
         return None
 
     return [
-        _run("conjugate-product-pigeonhole", cases, pigeonhole_check, seed),
-        fires,
-        _run("obstruction-silent-on-reducible-words", cases, silent_check, seed),
+        _run("conjugate-product-pigeonhole", cases, pigeonhole_check, seed, (2, 3, 4, 5)),
+        _tally("obstruction-fires-on-skew-powers", fires_outcomes()),
+        _run("obstruction-silent-on-reducible-words", cases, silent_check, seed, (2, 3, 4)),
     ]
 
 

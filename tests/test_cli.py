@@ -233,6 +233,12 @@ def test_verify_malformed_certificate_files_are_usage_errors(capsys, tmp_path):
         (dict(decomposition, factors=["e1"]), "'factors' must be a list of objects"),
         (dict(decomposition, factors=[{"g": None, "a": "e2"}]), "'g' must be a string"),
         (dict(decomposition, m=None), "'m' must be an integer"),
+        (dict(power, n="3"), "'n' must be an integer"),
+        (dict(power, n="\u0663"), "'n' must be an integer"),
+        (dict(power, n="1_1"), "'n' must be an integer"),
+        (dict(decomposition, m="3"), "'m' must be an integer"),
+        ({k: v for k, v in power.items() if k != "n"}, "certificate file is missing field 'n'"),
+        (dict(decomposition, factors=[{"a": "e2"}]), "certificate file is missing field 'g'"),
         ([power], "must hold a JSON object"),
         (None, "must hold a JSON object"),
     ]
@@ -281,6 +287,47 @@ def test_rationals_outside_the_documented_forms_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: bad ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-sigma", "\u0663 \u0662 \u0661"],
+        ["check-sigma", "0_1"],
+        ["decompose", "--m", "\u0663", "e1"],
+        ["decompose", "--m", "1_0", "e1"],
+        ["search", "--space", "lemma32-m3", "e1", "--c", "2", "--n", "\u0663"],
+        ["search", "--space", "lemma32-m3", "e1", "--c", "2", "--budget-factors", "1_0"],
+        ["search", "--space", "lemma32-m3", "e1", "--c", "2", "--budget-length", "\u0662"],
+        ["suite", "--select", "sigma", "--cases", "1_0"],
+        ["suite", "--select", "sigma", "--seed", "\u0667"],
+    ],
+)
+def test_integers_outside_ascii_digits_are_usage_errors(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as stop:  # argparse rejects option values itself
+        code = stop.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "error: " in err.splitlines()[-1], err
+
+
+@pytest.mark.parametrize("where", ["--c", "space file"])
+def test_long_bad_rational_is_clipped_in_the_error(capsys, tmp_path, where):
+    bad = "1/" + "x" * 3000
+    if where == "--c":
+        argv = ["search", "--space", "lemma32-m3", "e1", "--c", bad]
+    else:
+        path = tmp_path / "space.json"
+        path.write_text(
+            json.dumps({"kind": "finite", "base": "e", "points": ["e", "a"], "dist": {"e,a": bad}})
+        )
+        argv = ["norm", "--space", str(path), "a"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad rational '1/xxx")
+    assert err.count("\n") == 1 and len(err.encode()) < 200, err
 
 
 def test_overlong_interval_letter_names_the_digit_limit(capsys):
