@@ -16,7 +16,6 @@ multiplying out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -24,6 +23,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .norm import graev_norm, integer_costs, interval_fill, norm_dp, pair_cost
 from .rationals import parse_rational
 from .spaces import FiniteSpace, Space, star_space
+from .values import Value
 from .words import (
     Letter,
     Point,
@@ -52,13 +52,15 @@ def _check_odd_exponent(n: int) -> None:
         raise ValueError(f"the power exponent must be an odd integer >= 3, got {n}")
 
 
-@dataclass(frozen=True)
-class ConjugateDecomposition:
+class ConjugateDecomposition(Value):
     """target = product of g_i a_i g_i^-1 with at most m-1 single-letter a_i."""
 
-    m: int
-    target: Word
-    factors: tuple[tuple[Word, Letter], ...]
+    __slots__ = _fields = ("m", "target", "factors")
+
+    def __init__(self, m: int, target: Word, factors: tuple[tuple[Word, Letter], ...]) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "factors", factors)
 
 
 def _star_alphabet(m: int) -> set[str]:
@@ -133,19 +135,19 @@ def verify_conjugate_decomposition(d: ConjugateDecomposition) -> bool:
     return conjugate_decomposition_failure(d) is None
 
 
-@dataclass(frozen=True)
-class PowerCertificate:
+class PowerCertificate(Value):
     """target = x_1^n ... x_k^n with every norm(x_i) < c."""
 
-    n: int
-    c: Fraction
-    target: Word
-    bases: tuple[Word, ...]
+    __slots__ = _fields = ("n", "c", "target", "bases")
 
-    def __post_init__(self) -> None:
-        _check_odd_exponent(self.n)
-        if self.c <= 0:
-            raise ValueError(f"the radius must be positive, got {self.c}")
+    def __init__(self, n: int, c: Fraction, target: Word, bases: tuple[Word, ...]) -> None:
+        _check_odd_exponent(n)
+        if c <= 0:
+            raise ValueError(f"the radius must be positive, got {c}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "bases", bases)
 
 
 def word_power(w: Word, n: int, base: Point) -> Word:
@@ -338,8 +340,7 @@ def exponent_sum(w: Word, generator: Point) -> int:
     return sum(letter.sign for letter in w if letter.point == generator)
 
 
-@dataclass(frozen=True)
-class ExponentObstruction:
+class ExponentObstruction(Value):
     """Every generator's exponent sum is nonzero mod n.
 
     Any product of at most m-1 conjugated letters and arbitrary n-th powers
@@ -348,9 +349,12 @@ class ExponentObstruction:
     of n), so a word carrying this report is not of that form.
     """
 
-    m: int
-    n: int
-    sums: tuple[tuple[str, int], ...]
+    __slots__ = _fields = ("m", "n", "sums")
+
+    def __init__(self, m: int, n: int, sums: tuple[tuple[str, int], ...]) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "sums", sums)
 
     def __str__(self) -> str:
         inner = ", ".join(f"f_{g} = {s}" for g, s in self.sums)

@@ -7,19 +7,19 @@ suite), 2 for usage, parse or file errors.  Rationals print in lowest terms
 and all output is deterministic for a fixed seed.
 
 Each command imports the modules only it needs (``certificates``, ``maps``,
-``suite``) when it runs, so the start-up of every other command skips them.
+``suite``, ``json``) when it runs, so the start-up of every other command
+skips them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .norm import graev_metric, is_sigma, matching_to_json, norm_dp
-from .rationals import parse_rational
+from .rationals import clip, parse_rational
 from .spaces import Space, read_json, resolve_space, star_space
 from .words import format_word, free_reduce, parse_word
 
@@ -41,6 +41,8 @@ def _space(args: argparse.Namespace, default: str = "interval") -> Space:
 
 
 def _print_json(payload: dict) -> None:
+    import json  # here, so commands that print text skip loading it
+
     print(json.dumps(payload))
 
 
@@ -140,7 +142,7 @@ def _cmd_check_sigma(args: argparse.Namespace) -> int:
     try:
         image = [integer(token) for token in text.split()]
     except ValueError:
-        raise ValueError(f"bad permutation {args.permutation!r}: expected integers") from None
+        raise ValueError(f"bad permutation {clip(args.permutation)!r}: expected integers") from None
     verdict = is_sigma(image)
     if args.json:
         _print_json({"k": len(image), "map": image, "is_sigma": verdict})
@@ -217,6 +219,14 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one clipped ``error:`` line, with exit 2, in
+    place of argparse's usage block; subparsers are made of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {clip(' '.join(message.splitlines()), 160)}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -226,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
     common.add_argument("--seed", type=integer, default=0, help="seed for randomized runs")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graev",
         description="Exact norms and metrics on free groups over pointed metric spaces.",
     )
@@ -286,7 +296,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as error:
+    except (ValueError, OSError, KeyError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .norm import graev_metric, graev_norm
 from .rationals import parse_rational
 from .spaces import INTERVAL, FiniteSpace, FrozenTable, Space, chain_space, star_space
+from .values import Value
 from .words import Letter, Point, Word, free_reduce, invert_word, parse_word
 
 TABLE = "table"
@@ -31,8 +31,7 @@ AFFINE = "affine"
 PIECEWISE = "piecewise"
 
 
-@dataclass(frozen=True)
-class PointMap:
+class PointMap(Value):
     """A base-point-preserving map between pointed metric spaces.
 
     Three backings: a finite ``table`` of point images, an ``affine`` rule
@@ -40,21 +39,26 @@ class PointMap:
     breakpoints covering [0, 1].
     """
 
-    domain: Space
-    codomain: Space
-    kind: str
-    table: Optional[Mapping[Point, Point]] = None
-    scale: Optional[Fraction] = None
-    breakpoints: Optional[tuple[tuple[Fraction, Fraction], ...]] = None
+    __slots__ = _fields = ("domain", "codomain", "kind", "table", "scale", "breakpoints")
 
-    def __post_init__(self) -> None:
-        backing = {TABLE: self.table, AFFINE: self.scale, PIECEWISE: self.breakpoints}
-        if self.kind not in backing:
-            raise ValueError(f"unknown point-map kind {self.kind!r}")
-        if backing[self.kind] is None:
-            raise ValueError(f"a point map of kind {self.kind!r} needs its {self.kind} data")
-        if self.table is not None:
-            object.__setattr__(self, "table", FrozenTable(self.table))
+    def __init__(
+        self,
+        domain: Space,
+        codomain: Space,
+        kind: str,
+        table: Optional[Mapping[Point, Point]] = None,
+        scale: Optional[Fraction] = None,
+        breakpoints: Optional[tuple[tuple[Fraction, Fraction], ...]] = None,
+    ) -> None:
+        backing = {TABLE: table, AFFINE: scale, PIECEWISE: breakpoints}
+        if kind not in backing:
+            raise ValueError(f"unknown point-map kind {kind!r}")
+        if backing[kind] is None:
+            raise ValueError(f"a point map of kind {kind!r} needs its {kind} data")
+        if table is not None:
+            table = FrozenTable(table)
+        for name, value in zip(self._fields, (domain, codomain, kind, table, scale, breakpoints)):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def from_table(domain: Space, codomain: Space, table: Mapping[Point, Point]) -> "PointMap":
@@ -138,8 +142,7 @@ def check_contraction(h: PointMap) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PartialContraction:
+class PartialContraction(Value):
     """1-Lipschitz values on a finite subset of [0, 1] containing 0.
 
     ``points`` must be strictly increasing, start at 0, and carry values in
@@ -147,28 +150,27 @@ class PartialContraction:
     (which already gives the inequality for every pair).
     """
 
-    points: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
+    __slots__ = _fields = ("points", "values")
 
-    def __post_init__(self) -> None:
-        if len(self.points) != len(self.values):
+    def __init__(self, points: tuple[Fraction, ...], values: tuple[Fraction, ...]) -> None:
+        if len(points) != len(values):
             raise ValueError("points and values differ in length")
-        if not self.points or self.points[0] != 0:
+        if not points or points[0] != 0:
             raise ValueError("the anchor set must contain 0 as its first point")
-        if self.values[0] != 0:
+        if values[0] != 0:
             raise ValueError("the value at 0 must be 0")
-        for (a, va), (b, vb) in zip(
-            zip(self.points, self.values), zip(self.points[1:], self.values[1:])
-        ):
+        for (a, va), (b, vb) in zip(zip(points, values), zip(points[1:], values[1:])):
             if b <= a:
                 raise ValueError("anchor points must increase strictly")
             if abs(vb - va) > b - a:
                 raise ValueError(
                     f"not a partial contraction: |h({b}) - h({a})| = {abs(vb - va)} > {b - a}"
                 )
-        for t, v in zip(self.points, self.values):
+        for t, v in zip(points, values):
             if not 0 <= t <= 1 or not 0 <= v <= 1:
                 raise ValueError("anchors and values must lie in [0, 1]")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "values", values)
 
 
 def extend_partial_contraction(p: PartialContraction) -> PointMap:
@@ -216,14 +218,22 @@ def rescale_grid_word(m: int, w: Word) -> Word:
     return extend_endomorphism(grid_map(m), w)
 
 
-@dataclass(frozen=True)
-class BasisTranslation:
+class BasisTranslation(Value):
     """Mutually inverse generator substitutions between two free bases."""
 
-    space_a: Space
-    space_b: Space
-    a_to_b: Mapping[Point, Word]
-    b_to_a: Mapping[Point, Word]
+    __slots__ = _fields = ("space_a", "space_b", "a_to_b", "b_to_a")
+
+    def __init__(
+        self,
+        space_a: Space,
+        space_b: Space,
+        a_to_b: Mapping[Point, Word],
+        b_to_a: Mapping[Point, Word],
+    ) -> None:
+        object.__setattr__(self, "space_a", space_a)
+        object.__setattr__(self, "space_b", space_b)
+        object.__setattr__(self, "a_to_b", a_to_b)
+        object.__setattr__(self, "b_to_a", b_to_a)
 
 
 def translate_word(w: Word, mapping: Mapping[Point, Word], source_base: Point, target_base: Point) -> Word:

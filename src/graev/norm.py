@@ -24,7 +24,6 @@ check in the test suite, not an assumption here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -32,6 +31,7 @@ from operator import getitem
 from typing import Iterator, Sequence, TypeVar
 
 from .spaces import Space
+from .values import Value
 from .words import Letter, Word, concat, free_reduce, invert_word
 
 SIGMA_ENUM_MAX = 10
@@ -40,16 +40,16 @@ BRUTE_FORCE_MAX = 10
 Num = TypeVar("Num")  # an exact number type: Fraction or int
 
 
-@dataclass(frozen=True)
-class SigmaMatching:
+class SigmaMatching(Value):
     """An involution of {1..k} stored as its image array (1-based)."""
 
-    k: int
-    map: tuple[int, ...]
+    __slots__ = _fields = ("k", "map")
 
-    def __post_init__(self) -> None:
-        if len(self.map) != self.k:
+    def __init__(self, k: int, map: tuple[int, ...]) -> None:
+        if len(map) != k:
             raise ValueError("image array length does not match k")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "map", map)
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(i, self.map[i - 1]) for i in range(1, self.k + 1) if self.map[i - 1] > i]

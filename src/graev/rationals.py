@@ -18,12 +18,18 @@ RATIONAL_DIGITS_MAX = 1000
 _RATIONAL = re.compile(r"[+-]?(?:[0-9]+/[0-9]+|[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
 
 
+def clip(text: str, limit: int = 40) -> str:
+    """``text`` cut to its first ``limit`` characters and marked "…" if cut,
+    so an error that echoes its input stays one short line."""
+    return text if len(text) <= limit else text[:limit] + "…"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``p/q``, integer, or decimal text (``0.4`` becomes ``2/5``)."""
     if not isinstance(text, str):
         raise ValueError(f"bad rational {text!r}: expected text such as '2/5'")
     body = text.strip()
-    shown = repr(text if len(text) <= 40 else text[:40] + "…")  # one short error line
+    shown = repr(clip(text))
     if not _RATIONAL.fullmatch(body):
         raise ValueError(f"bad rational {shown}")
     digits = sum(ch.isdigit() for ch in body)

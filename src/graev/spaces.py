@@ -20,14 +20,13 @@ concurrent norm computations.
 from __future__ import annotations
 
 import itertools
-import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 from .rationals import parse_rational
+from .values import Value
 
 if TYPE_CHECKING:
     from .words import Letter, Point
@@ -37,10 +36,12 @@ if TYPE_CHECKING:
 SPACE_RANK_MAX = 64
 
 
-@dataclass(frozen=True)
-class MetricViolation:
-    axiom: str
-    points: tuple[str, ...]
+class MetricViolation(Value):
+    __slots__ = _fields = ("axiom", "points")
+
+    def __init__(self, axiom: str, points: tuple[str, ...]) -> None:
+        object.__setattr__(self, "axiom", axiom)
+        object.__setattr__(self, "points", points)
 
     def __str__(self) -> str:
         return f"{self.axiom} violated at ({', '.join(self.points)})"
@@ -48,7 +49,7 @@ class MetricViolation:
 
 class FrozenTable(dict):
     """A dict that refuses changes, hashed as the frozenset of its items, so
-    equal tables hash equal and the frozen dataclasses holding one hash."""
+    equal tables hash equal and the spaces and point maps holding one hash."""
 
     def __hash__(self) -> int:  # type: ignore[override]
         return hash(frozenset(self.items()))
@@ -62,10 +63,12 @@ class FrozenTable(dict):
     __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _frozen
 
 
-@dataclass(frozen=True)
-class IntervalSpace:
-    """The rational segment [0, 1], base point 0, d(x, y) = |x - y|."""
+class IntervalSpace(Value):
+    """The rational segment [0, 1], base point 0, d(x, y) = |x - y|.
 
+    It has no fields, so every instance equals every other."""
+
+    __slots__ = _fields = ()
     kind = "interval"
     base = Fraction(0)
 
@@ -84,22 +87,22 @@ class IntervalSpace:
         return abs(p - q) if sp == sq else p + q
 
 
-@dataclass(frozen=True, eq=True)
-class FiniteSpace:
-    base: str
-    points: tuple[str, ...]
-    table: Mapping[tuple[str, str], Fraction]
-    # (a, b) -> (d~ for equal signs, d~ for opposite signs)
-    signed: Mapping[tuple[str, str], tuple[Fraction, Fraction]] = field(
-        init=False, repr=False, compare=False
-    )
+class FiniteSpace(Value):
+    # ``signed`` maps (a, b) to (d~ for equal signs, d~ for opposite signs);
+    # it is derived from the table, so it is no field: it takes no part in
+    # equality, hashing or the repr
+    __slots__ = ("base", "points", "table", "signed")
+    _fields = ("base", "points", "table")
 
     kind = "finite"
 
-    def __post_init__(self) -> None:
-        table = FrozenTable(self.table)
-        e = self.base
-        signed = {(a, b): (d, table[a, e] + table[e, b]) for (a, b), d in table.items()}
+    def __init__(
+        self, base: str, points: tuple[str, ...], table: Mapping[tuple[str, str], Fraction]
+    ) -> None:
+        table = FrozenTable(table)
+        signed = {(a, b): (d, table[a, base] + table[base, b]) for (a, b), d in table.items()}
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "signed", signed)
 
@@ -283,6 +286,8 @@ def space_from_json(data: dict) -> Space:
 
 def read_json(path: str):
     """The JSON value held in a file; nesting too deep to decode is a ValueError."""
+    import json  # here, so commands that read no file skip loading it
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)

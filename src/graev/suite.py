@@ -14,7 +14,6 @@ a table and the acceptance tests re-run them at larger case counts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -66,16 +65,29 @@ from .words import (
     is_reduced,
     signed_alphabet,
 )
+from .values import Value
 
 MOTZKIN_1_TO_8 = (1, 2, 4, 9, 21, 51, 127, 323)
 
 
-@dataclass
-class PropertyResult:
-    name: str
-    cases: int
-    failures: int
-    counterexample: Optional[str] = None
+class PropertyResult(Value):
+    """A property's case and failure counts and its first counterexample.
+
+    Unlike the other values it stays mutable (the rescale suite scales its
+    case count after the run), and so it is unhashable."""
+
+    __slots__ = _fields = ("name", "cases", "failures", "counterexample")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self, name: str, cases: int, failures: int, counterexample: Optional[str] = None
+    ) -> None:
+        self.name = name
+        self.cases = cases
+        self.failures = failures
+        self.counterexample = counterexample
 
     @property
     def passed(self) -> bool:

@@ -11,11 +11,11 @@ Words are immutable values; every operation returns a new word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
-from .rationals import parse_rational
+from .rationals import clip, parse_rational
+from .values import Value
 
 if TYPE_CHECKING:
     from .spaces import Space
@@ -27,22 +27,24 @@ class WordParseError(ValueError):
     """Raised when word text cannot be parsed over the given space."""
 
 
-@dataclass(frozen=True)
-class Letter:
-    point: Point
-    sign: int = 1
+class Letter(Value):
+    __slots__ = _fields = ("point", "sign")
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {self.sign}")
+    def __init__(self, point: Point, sign: int = 1) -> None:
+        if sign not in (1, -1):
+            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "sign", sign)
 
     def inverse(self) -> "Letter":
         return Letter(self.point, -self.sign)
 
 
-@dataclass(frozen=True)
-class Word:
-    letters: tuple[Letter, ...] = ()
+class Word(Value):
+    __slots__ = _fields = ("letters",)
+
+    def __init__(self, letters: tuple[Letter, ...] = ()) -> None:
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -147,7 +149,7 @@ def parse_word(text: str, space: "Space") -> Word:
 
 
 def parse_letter(token: str, space: "Space") -> Letter:
-    shown = repr(token if len(token) <= 40 else token[:40] + "…")  # one short error line
+    shown = repr(clip(token))
     body, sign = token, 1
     if token.endswith("^-1"):
         body, sign = token[:-3], -1

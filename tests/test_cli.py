@@ -430,6 +430,13 @@ def test_check_sigma_bad_input(capsys):
     assert "permutation" in err
 
 
+def test_check_sigma_long_bad_input_is_clipped_in_the_error(capsys):
+    code, out, err = run_cli(capsys, "check-sigma", "x" * 3000)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad permutation 'xxx")
+    assert err.count("\n") == 1 and len(err.encode()) < 200, err
+
+
 def test_extend_map_prints_extension(capsys, tmp_path):
     path = tmp_path / "partial.json"
     path.write_text(json.dumps({"points": ["0", "1/2"], "values": ["0", "1/4"]}))
@@ -504,9 +511,40 @@ def test_suite_rejects_negative_case_counts(capsys):
 
 
 def test_cli_import_leaves_the_suite_unloaded():
-    probe = "import sys, graev.cli; print([m for m in ('suite', 'certificates', 'maps') if 'graev.' + m in sys.modules])"
+    lazy = ("graev.suite", "graev.certificates", "graev.maps", "dataclasses", "inspect", "json")
+    probe = (
+        f"import sys, graev.cli; print([m for m in {lazy!r} if m in sys.modules]); "
+        "import graev.certificates, graev.maps, graev.suite; print('dataclasses' in sys.modules)"
+    )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env())
-    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "[]\nFalse\n"), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--m", "x" * 3000, "e1"],
+        ["norm"],
+        ["suite", "--cases", "\u0663"],
+        ["frob"],
+        ["norm", "e1", "two\nlines"],
+    ],
+)
+def test_argparse_errors_are_one_clipped_line(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (stop.value.code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and err.endswith("\n"), err
+    assert len(err.encode()) < 200, err
+
+
+def test_help_still_prints_the_usage(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["norm", "--help"])
+    out, err = capsys.readouterr()
+    assert (stop.value.code, err) == (0, "")
+    assert out.startswith("usage: graev norm [-h] [--space SPACE] [--json] [--seed SEED] word\n")
 
 
 def test_every_exported_name_resolves():

@@ -6,12 +6,28 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "graev"
 
 
-def test_library_has_no_assert_statements():
-    # python -O strips asserts, so invariants must raise real errors
-    found = [
+def _found(matches) -> list[str]:
+    """Where in the library's sources a node satisfies ``matches``, as file:line."""
+    return [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
+        if matches(node)
     ]
-    assert found == []
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips asserts, so invariants must raise real errors
+    assert _found(lambda node: isinstance(node, ast.Assert)) == []
+
+
+def _imports_dataclasses(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.partition(".")[0] == "dataclasses" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "dataclasses"
+
+
+def test_library_does_not_import_dataclasses():
+    # dataclasses loads inspect, ast and dis, about a tenth of a CLI process's
+    # start-up; the value classes derive from graev.values.Value instead
+    assert _found(_imports_dataclasses) == []
