@@ -24,6 +24,12 @@ from .spaces import Space, read_json, resolve_space, star_space
 from .words import format_word, free_reduce, parse_word
 
 
+# letters of a norm's word, a metric's two words together or a search target,
+# counted as given, before free reduction; the slowest interval norm measured
+# at the cap, 256 letters with distinct prime denominators, took 5-8 s and
+# 30 MB in one process on a 2-core VM
+NORM_LENGTH_MAX = 256
+
 # ASCII digits with an optional sign, as for rationals: int() alone would also
 # take underscores and other scripts' digits
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -34,6 +40,12 @@ def integer(text: str) -> int:
     if not _INTEGER.fullmatch(text):
         raise ValueError(f"bad integer {text!r}")
     return int(text)
+
+
+def _check_length(what: str, *texts: str) -> None:
+    letters = sum(len(text.split()) for text in texts)
+    if letters > NORM_LENGTH_MAX:
+        raise ValueError(f"{what}: {letters} letters is above the limit of {NORM_LENGTH_MAX}")
 
 
 def _space(args: argparse.Namespace, default: str = "interval") -> Space:
@@ -47,6 +59,7 @@ def _print_json(payload: dict) -> None:
 
 
 def _cmd_norm(args: argparse.Namespace) -> int:
+    _check_length("word", args.word)
     space = _space(args)
     word = free_reduce(parse_word(args.word, space), space.base)
     value, matching = norm_dp(word, space)
@@ -58,6 +71,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 
 
 def _cmd_metric(args: argparse.Namespace) -> int:
+    _check_length("left and right words", args.left, args.right)
     space = _space(args)
     u = parse_word(args.left, space)
     v = parse_word(args.right, space)
@@ -120,6 +134,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     from .certificates import power_certificate_to_json, search_power_certificate
 
+    _check_length("target", args.word)
     space = _space(args)
     word = parse_word(args.word, space)
     certificate = search_power_certificate(

@@ -11,12 +11,13 @@ distance to the base point.  Two evaluators are provided:
   ``integer_costs`` (guarded to short words);
 * ``norm_dp`` is an O(k^3) interval dynamic program over non-crossing
   matchings that also recovers one optimal matching.  Its fill,
-  ``interval_fill``, skips every split whose pair cost d~(x_t, x_j^-1) is
-  at least d~(x_t, e) + d~(x_j, e), the cost of leaving both unmatched,
-  since such a split never beats leaving x_j unmatched; the values and the
-  recovered matchings are those of the full fill.  On the interval this
-  removes every same-sign pair, and over a star space only cancelling
-  pairs remain.
+  ``interval_fill``, weighs a split t of x_j at the rows i < t only if t
+  is the choice of its own row t: the norm is subadditive over adjacent
+  ranges, so a split that loses its own row loses every row above it too;
+  the values and the recovered matchings are those of the full fill.  A
+  pair costing at least d~(x_t, e) + d~(x_j, e), the cost of leaving both
+  unmatched, always loses: on the interval that removes every same-sign
+  pair, and over a star space only cancelling pairs remain.
 
 The two must agree exactly on every input; that equivalence is an oracle
 check in the test suite, not an assumption here.
@@ -264,30 +265,41 @@ def interval_fill(
     matched with.  The cost table is padded, ``cost[i][j + 1]`` holding
     C(i, j), so the empty range C(i, i - 1) is the ``zero`` at ``cost[i][i]``.
 
-    A split t with ``pair[t][j] >= fix[t] + fix[j]`` is skipped: leaving t
-    unmatched gives C(i, j-1) <= C(i, t-1) + fix[t] + C(t+1, j-1), so that
-    split is never strictly below leaving x_j unmatched, and skipping it
-    changes neither the optimum nor the tie rule.  The rule depends on t
-    and j only, so the fill runs column by column, i going down from j,
-    over an ascending list of the live splits t in [i, j), each stored with
-    its part pair[t][j] + C(t+1, j-1) that does not depend on i.
+    The fill runs column by column, i going down from j, over an ascending
+    list of the live splits t in (i, j), each stored with its part
+    rest_t = pair[t][j] + C(t+1, j-1) that does not depend on i.  Row i
+    first weighs leaving x_j unmatched, then its own split
+    own = pair[i][j] + C(i+1, j-1), then the live splits; i joins the list
+    only if row i chooses it.  Dropping a split that loses its own row is
+    exact: either own >= C(i, j-1) + fix[j], or some live t' has
+    C(i, t'-1) + rest_t' < own.  At any row i' < i, C is subadditive,
+    C(i', a) <= C(i', i-1) + C(i, a), so split i costs C(i', i-1) + own,
+    which is then never strictly below leaving x_j unmatched, or strictly
+    above split t' (still live).  Dropping it changes neither the optimum
+    nor the tie rule, and ``back`` is that of the full fill.  Every split
+    with pair[i][j] >= fix[i] + fix[j], the cost of leaving both unmatched,
+    loses its row, since C(i, j-1) <= fix[i] + C(i+1, j-1).
     """
     k = len(fix)
     cost = [[zero] * (k + 1) for _ in range(k + 1)]
     back = [[-1] * k for _ in range(k)]
     for j in range(k):
         fj = fix[j]
+        cost[j][j + 1] = zero + fj
         live: list[tuple[int, Num]] = []
-        for i in range(j, -1, -1):
-            if i < j and pair[i][j] < fix[i] + fj:
-                live.insert(0, (i, pair[i][j] + cost[i + 1][j]))
+        for i in range(j - 1, -1, -1):
             row = cost[i]
             best = row[j] + fj
             choice = -1
+            own = pair[i][j] + cost[i + 1][j]
+            if own < best:
+                best, choice = own, i
             for t, rest in live:
                 cand = row[t] + rest
                 if cand < best:
                     best, choice = cand, t
+            if choice == i:
+                live.insert(0, (i, own))
             row[j + 1], back[i][j] = best, choice
     return cost[0][k], back
 

@@ -299,14 +299,15 @@ def load_space(path: str) -> Space:
     return space_from_json(read_json(path))
 
 
-_BUILTIN = re.compile(r"^lemma32-m([1-9][0-9]*)$")
+_BUILTIN = re.compile(r"lemma32-m([0-9]+)")
 
 
 def builtin_space(name: str) -> Optional[Space]:
-    """The built-in named spaces: ``interval`` and ``lemma32-m<k>``."""
+    """The built-in named spaces: ``interval`` and ``lemma32-m<k>``, k any
+    ASCII digits (``star_space`` rejects a rank out of range)."""
     if name == "interval":
         return INTERVAL
-    match = _BUILTIN.match(name)
+    match = _BUILTIN.fullmatch(name)
     if match:
         return star_space(int(match.group(1)))
     return None

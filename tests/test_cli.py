@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from graev.cli import main
+from graev.cli import NORM_LENGTH_MAX, main
 from graev.rationals import RATIONAL_DIGITS_MAX
 from graev.spaces import SPACE_RANK_MAX
 
@@ -406,6 +406,42 @@ def test_huge_built_in_space_rank_is_a_usage_error(capsys, argv, m):
     code, out, err = run_cli(capsys, *(arg.format(m=m) for arg in argv))
     assert (code, out) == (2, "")
     assert err == f"error: star space rank {m} is above the limit of {SPACE_RANK_MAX} generators\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("norm", "--space", "lemma32-m0", "e1"),
+        ("norm", "--space", "lemma32-m00", "e1"),
+        ("decompose", "--m", "0", "e1"),
+    ],
+)
+def test_zero_built_in_space_rank_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: star space needs at least one generator\n")
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("norm", "--space", "lemma32-m3", "e1 e1^-1 " * 128 + "e1"), "word"),
+        (("metric", "--space", "lemma32-m3", "e1 " * 200, "e2 " * 57), "left and right words"),
+        (("search", "--space", "lemma32-m3", "--c", "3", "e1 " * NORM_LENGTH_MAX + "e2"), "target"),
+    ],
+)
+def test_word_over_the_length_cap_is_a_usage_error(capsys, argv, what):
+    # letters are counted as given: the norm's word reduces to one letter
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    limit = NORM_LENGTH_MAX
+    assert err == f"error: {what}: {limit + 1} letters is above the limit of {limit}\n"
+
+
+def test_words_at_the_length_cap_run(capsys):
+    limit, half = NORM_LENGTH_MAX, NORM_LENGTH_MAX // 2
+    assert run_cli(capsys, "norm", "--space", "lemma32-m3", "e1 " * limit) == (0, f"{limit}\n", "")
+    metric = run_cli(capsys, "metric", "--space", "lemma32-m3", "e1 " * half, "e2 " * half)
+    assert metric == (0, f"{2 * half}\n", "")
 
 
 def test_check_sigma_accepts(capsys):

@@ -85,10 +85,31 @@ def _reference_fill(fix, pair, zero):
     return cost[0][k], back
 
 
+def _tied_table(rng, k):
+    """Random integer costs 0..3 in which, at random cells, the split of x_j
+    at its own row i is reset so that pair[i][j] + C(i+1, j-1) equals leaving
+    x_j unmatched, C(i, j-1) + fix[j], or the best later split t > i at row
+    i; such pair costs may leave 0..3, negative ones included.  Built column
+    by column, i going down, as the fill itself runs."""
+    fix = [rng.randint(0, 3) for _ in range(k)]
+    pair = [[rng.randint(0, 3) for _ in range(k)] for _ in range(k)]
+    cost = [[0] * (k + 1) for _ in range(k + 1)]  # cost[i][j + 1] = C(i, j)
+    for j in range(k):
+        cost[j][j + 1] = fix[j]
+        for i in range(j - 1, -1, -1):
+            unmatched = cost[i][j] + fix[j]
+            later = [cost[i][t] + pair[t][j] + cost[t + 1][j] for t in range(i + 1, j)]
+            target = rng.choice((unmatched, min(later, default=unmatched), None))
+            if target is not None:
+                pair[i][j] = target - cost[i + 1][j]
+            cost[i][j + 1] = min(unmatched, pair[i][j] + cost[i + 1][j], *later)
+    return fix, pair
+
+
 def _fill_corpus():
     """Fraction costs of seeded unreduced words (base-point letters, every k
     from 0 to 20, then up to 40 in steps of 5) over five spaces, then small
-    integer tables full of ties."""
+    integer tables full of ties, then the forced ties of ``_tied_table``."""
     rng = random.Random(5150)
     for space in (INTERVAL, star_space(2), STAR3, chain_space(4), TRIANGLE):
         for k in [*range(21), 25, 30, 35, 40]:
@@ -111,11 +132,42 @@ def _fill_corpus():
             for t in range(k)
         ]
         yield fix, pair, 0
+    for _ in range(3000):
+        yield (*_tied_table(rng, rng.randint(0, 14)), 0)
 
 
 def test_fill_equals_the_reference_fill():
     for fix, pair, zero in _fill_corpus():
         assert interval_fill(fix, pair, zero) == _reference_fill(fix, pair, zero), (fix, pair)
+
+
+def test_fill_weighs_only_splits_that_won_their_row():
+    adds = 0
+
+    class Counted(int):
+        """An int that counts the additions made with it."""
+
+        def __add__(self, other):
+            nonlocal adds
+            adds += 1
+            return Counted(int(self) + int(other))
+
+        __radd__ = __add__
+
+    rng = random.Random(64)
+    letters = []
+    while len(letters) < 64:
+        letter = random_letter(rng, INTERVAL)
+        if not letters or letter != letters[-1].inverse():
+            letters.append(letter)
+    fix, pair, _ = integer_costs(letters, INTERVAL)
+    value, back = interval_fill(
+        [Counted(v) for v in fix], [[Counted(v) for v in row] for row in pair], Counted(0)
+    )
+    assert (value, back) == _reference_fill(fix, pair, 0)
+    # 13855 with the row-winner rule; keeping every split t that passes
+    # pair[t][j] < fix[t] + fix[j], as the fill once did, makes 26204
+    assert adds <= 13855
 
 
 def test_dp_recovers_the_reference_fill_matchings(monkeypatch):

@@ -6,11 +6,13 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "graev"
 
 
-def _found(matches) -> list[str]:
-    """Where in the library's sources a node satisfies ``matches``, as file:line."""
+def _found(matches, skip: tuple[str, ...] = ()) -> list[str]:
+    """Where in the library's sources, outside the files named in ``skip``,
+    a node satisfies ``matches``, as file:line."""
     return [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
+        if path.name not in skip
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if matches(node)
     ]
@@ -31,3 +33,16 @@ def test_library_does_not_import_dataclasses():
     # dataclasses loads inspect, ast and dis, about a tenth of a CLI process's
     # start-up; the value classes derive from graev.values.Value instead
     assert _found(_imports_dataclasses) == []
+
+
+def _is_float(node: ast.AST) -> bool:
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, float)
+    return isinstance(node, ast.Name) and node.id == "float"
+
+
+def test_library_has_no_floats():
+    # every number is an exact Fraction or int, so equality and strict
+    # comparisons are decidable; the suite's sampling probabilities are the
+    # one exception, and they never reach a norm
+    assert _found(_is_float, skip=("suite.py",)) == []

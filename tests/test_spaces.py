@@ -282,7 +282,11 @@ def test_builtin_spaces():
     assert builtin_space("interval") == INTERVAL
     assert builtin_space("lemma32-m3") == STAR3
     assert builtin_space("lemma32-m12") == star_space(12)
+    assert builtin_space("lemma32-m07") == star_space(7)
     assert builtin_space("unknown") is None
+    # the whole name, not a prefix, and ASCII digits only
+    assert builtin_space("lemma32-m3\n") is None
+    assert builtin_space("lemma32-m٣") is None
 
 
 @pytest.mark.parametrize("build", [star_space, chain_space])
