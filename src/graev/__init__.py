@@ -20,11 +20,8 @@ _EXPORTS = {
         "decompose_conjugates",
         "exponent_obstruction",
         "exponent_sum",
-        "in_ball",
         "search_power_certificate",
         "transport_certificate",
-        "verify_conjugate_decomposition",
-        "verify_power_certificate",
     ),
     "maps": (
         "BasisTranslation",

@@ -21,7 +21,7 @@ from operator import neg
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .norm import graev_norm, integer_costs, interval_fill, norm_dp, pair_cost
-from .rationals import parse_rational
+from .rationals import clip, parse_rational
 from .spaces import FiniteSpace, Space, star_space
 from .values import Value
 from .words import (
@@ -42,14 +42,16 @@ if TYPE_CHECKING:
     from .maps import PointMap
 
 
-def in_ball(w: Word, c: Fraction, space: Space) -> bool:
-    """Strict norm-ball membership: norm(w) < c."""
-    return graev_norm(w, space) < c
+# x^n has n * |x| letters: verifying a 256-letter base at n = 999 took 1.0 s
+# and 30 MB on a 2-core VM, and a far larger n exhausts memory
+POWER_EXPONENT_MAX = 999
 
 
 def _check_odd_exponent(n: int) -> None:
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"the power exponent must be an odd integer >= 3, got {n}")
+    if n < 3 or n % 2 == 0 or n > POWER_EXPONENT_MAX:
+        raise ValueError(
+            f"the power exponent must be an odd integer from 3 to {POWER_EXPONENT_MAX}, got {clip(str(n))}"
+        )
 
 
 class ConjugateDecomposition(Value):
@@ -131,10 +133,6 @@ def conjugate_decomposition_failure(d: ConjugateDecomposition) -> Optional[str]:
     return None
 
 
-def verify_conjugate_decomposition(d: ConjugateDecomposition) -> bool:
-    return conjugate_decomposition_failure(d) is None
-
-
 class PowerCertificate(Value):
     """target = x_1^n ... x_k^n with every norm(x_i) < c."""
 
@@ -170,10 +168,6 @@ def power_certificate_failure(p: PowerCertificate, space: Space) -> Optional[str
             f"target reduces to '{format_word(target)}'"
         )
     return None
-
-
-def verify_power_certificate(p: PowerCertificate, space: Space) -> bool:
-    return power_certificate_failure(p, space) is None
 
 
 def transport_certificate(p: PowerCertificate, h: PointMap) -> PowerCertificate:

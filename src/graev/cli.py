@@ -234,12 +234,17 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _error_line(message: str) -> str:
+    """``message`` as the one clipped ``error:`` line every failure prints."""
+    return f"error: {clip(' '.join(message.splitlines()), 160)}\n"
+
+
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one clipped ``error:`` line, with exit 2, in
-    place of argparse's usage block; subparsers are made of this class too."""
+    """Reports a usage error as one ``error:`` line, with exit 2, in place of
+    argparse's usage block; subparsers are made of this class too."""
 
     def error(self, message: str) -> NoReturn:
-        self.exit(2, f"error: {clip(' '.join(message.splitlines()), 160)}\n")
+        self.exit(2, _error_line(message))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,7 +317,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as error:
-        print(f"error: {error}", file=sys.stderr)
+        sys.stderr.write(_error_line(str(error)))
         return 2
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping, Optional, Union
 
-from .rationals import parse_rational
+from .rationals import clip, parse_rational
 from .values import Value
 
 if TYPE_CHECKING:
@@ -211,7 +211,7 @@ def _check_rank(kind: str, m: int) -> None:
     if m < 1:
         raise ValueError(f"{kind} space needs at least one generator")
     if m > SPACE_RANK_MAX:
-        raise ValueError(f"{kind} space rank {m} is above the limit of {SPACE_RANK_MAX} generators")
+        raise ValueError(f"{kind} space rank {clip(str(m))} is above the limit of {SPACE_RANK_MAX} generators")
 
 
 @lru_cache(maxsize=None)
@@ -309,7 +309,10 @@ def builtin_space(name: str) -> Optional[Space]:
         return INTERVAL
     match = _BUILTIN.fullmatch(name)
     if match:
-        return star_space(int(match.group(1)))
+        digits = match.group(1).lstrip("0") or "0"
+        if len(digits) > len(str(SPACE_RANK_MAX)):  # so int() never meets its 4300-digit limit
+            raise ValueError(f"star space rank {clip(digits)} is above the limit of {SPACE_RANK_MAX} generators")
+        return star_space(int(digits))
     return None
 
 

@@ -112,11 +112,6 @@ def enumerate_reduced_words(alphabet: Sequence[Letter], max_len: int) -> Iterato
     canonical order: by length, then lexicographically by alphabet index.
     """
     yield Word(())
-    if max_len >= 1:
-        yield from _by_length(alphabet, max_len)
-
-
-def _by_length(alphabet: Sequence[Letter], max_len: int) -> Iterator[Word]:
     frontier: list[tuple[Letter, ...]] = [()]
     for _ in range(max_len):
         nxt: list[tuple[Letter, ...]] = []

@@ -32,7 +32,7 @@ from graev.suite import (
     random_any_word,
     random_reduced_word,
 )
-from graev.certificates import decompose_conjugates, verify_conjugate_decomposition
+from graev.certificates import conjugate_decomposition_failure, decompose_conjugates
 from graev.maps import rescale_grid_word
 from graev.words import enumerate_reduced_words, format_word
 
@@ -145,7 +145,7 @@ def test_criterion_6_conjugate_decomposition():
                     False,
                     f"factor count on '{format_word(word)}' (m={m})",
                 )
-            if not verify_conjugate_decomposition(decomposition):
+            if conjugate_decomposition_failure(decomposition) is not None:
                 _verdict(
                     "criterion 6 (conjugate decomposition)",
                     False,

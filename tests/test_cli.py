@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from graev.cli import NORM_LENGTH_MAX, main
-from graev.rationals import RATIONAL_DIGITS_MAX
+from graev.rationals import RATIONAL_DIGITS_MAX, clip
 from graev.spaces import SPACE_RANK_MAX
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -408,6 +408,13 @@ def test_huge_built_in_space_rank_is_a_usage_error(capsys, argv, m):
     assert err == f"error: star space rank {m} is above the limit of {SPACE_RANK_MAX} generators\n"
 
 
+@pytest.mark.parametrize("digits", ["7" * 5000, "0" * 5000 + "65"])
+def test_built_in_space_rank_of_thousands_of_digits_is_a_usage_error(capsys, digits):
+    code, out, err = run_cli(capsys, "norm", "--space", f"lemma32-m{digits}", "e1")
+    assert (code, out) == (2, "")
+    assert err == f"error: star space rank {clip(digits.lstrip('0'))} is above the limit of {SPACE_RANK_MAX} generators\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -586,7 +593,7 @@ def test_help_still_prints_the_usage(capsys):
 def test_every_exported_name_resolves():
     import graev
 
-    assert len(graev.__all__) == len(set(graev.__all__)) == 49
+    assert len(graev.__all__) == len(set(graev.__all__)) == 46
     for name in graev.__all__:
         value = getattr(graev, name)
         module = importlib.import_module(f"graev.{graev._MODULE_OF[name]}")

@@ -29,3 +29,13 @@ def test_demo_01_basis_change_lines():
         "as e-word:     e1 e2 e1^-1",
         "round trip:    f2 f1^-1",
     ]
+
+
+def test_demo_04_ball_and_verdict_lines():
+    lines = run_demo(ROOT / "demos" / "04_balls_and_certificates.py").stdout.splitlines()
+    assert lines[0] == "N(w) = 2 | in radius-3 ball: True"
+    assert [line for line in lines if "verifies:" in line] == [
+        "verifies: True",
+        "verifies: True",
+        "still verifies: True",
+    ]

@@ -1,4 +1,4 @@
-"""Value semantics of the library's immutable classes and of PropertyResult."""
+"""Value semantics of the library's immutable classes, the suite's PropertyResult among them."""
 
 import copy
 import pickle
@@ -108,12 +108,14 @@ def test_finite_space_signed_table_is_not_a_field():
     assert space.signed["a", "a"] == (0, 2)
 
 
-def test_property_result_stays_mutable_and_unhashable():
+def test_property_result_is_an_immutable_hashable_value():
     result = PropertyResult("p", 2, 0)
     assert repr(result) == "PropertyResult(name='p', cases=2, failures=0, counterexample=None)"
-    result.cases *= 3
-    result.counterexample = "w"
-    assert result == PropertyResult("p", 6, 0, "w") and result.passed
-    assert result != ("p", 6, 0, "w")
-    with pytest.raises(TypeError):
-        hash(result)
+    with pytest.raises(AttributeError):
+        result.cases = 6
+    with pytest.raises(AttributeError):
+        del result.counterexample
+    assert result == PropertyResult("p", 2, 0) and result.passed
+    assert hash(result) == hash(PropertyResult("p", 2, 0))
+    assert result != ("p", 2, 0, None)
+    assert not PropertyResult("p", 2, 1, "w").passed
