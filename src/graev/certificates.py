@@ -20,9 +20,9 @@ from fractions import Fraction
 from operator import neg
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .norm import graev_norm, integer_costs, interval_fill, norm_dp, pair_cost
+from .norm import check_length, graev_norm, integer_costs, interval_fill, norm_dp, pair_cost
 from .rationals import clip, parse_rational
-from .spaces import FiniteSpace, Space, star_space
+from .spaces import FiniteSpace, Space, json_int, json_list, json_str, star_space
 from .values import Value
 from .words import (
     Letter,
@@ -65,10 +65,6 @@ class ConjugateDecomposition(Value):
         object.__setattr__(self, "factors", factors)
 
 
-def _star_alphabet(m: int) -> set[str]:
-    return {"e"} | {f"e{i}" for i in range(1, m + 1)}
-
-
 def decompose_conjugates(w: Word, m: int) -> Optional[ConjugateDecomposition]:
     """Write ``w`` as a product of norm(w) conjugated letters, if norm(w) < m.
 
@@ -80,9 +76,8 @@ def decompose_conjugates(w: Word, m: int) -> Optional[ConjugateDecomposition]:
     earlier unmatched letters removed.  Returns None when norm(w) >= m.
     """
     space = star_space(m)
-    allowed = _star_alphabet(m)
     for letter in w:
-        if letter.point not in allowed:
+        if not space.contains(letter.point):
             raise ValueError(f"letter point {letter.point!r} is not in the rank-{m} star space")
     w = free_reduce(w, space.base)
     value, matching = norm_dp(w, space)
@@ -113,24 +108,30 @@ def conjugate_decomposition_failure(d: ConjugateDecomposition) -> Optional[str]:
         return f"m must be at least 1, got {d.m}"
     if len(d.factors) > d.m - 1:
         return f"factor count {len(d.factors)} exceeds m - 1 = {d.m - 1}"
-    allowed = _star_alphabet(d.m)
+    space = star_space(d.m)
     for letter in d.target:
-        if letter.point not in allowed:
+        if not space.contains(letter.point):
             return f"target letter {format_letter(letter)} is outside the alphabet"
     product = Word(())
     for g, a in d.factors:
         for letter in g:
-            if letter.point not in allowed:
+            if not space.contains(letter.point):
                 return f"conjugator letter {format_letter(letter)} is outside the alphabet"
-        if a.point not in allowed:
+        if not space.contains(a.point):
             return f"factor letter {format_letter(a)} is outside the alphabet"
         product = concat(product, conjugate(g, Word((a,)), "e"), "e")
     if product != free_reduce(d.target, "e"):
-        return (
-            f"product mismatch: factors multiply to '{format_word(product)}', "
-            f"target reduces to '{format_word(free_reduce(d.target, 'e'))}'"
-        )
+        return _mismatch("factors", product, free_reduce(d.target, "e"))
     return None
+
+
+def _mismatch(what: str, product: Word, target: Word) -> str:
+    # each word clipped to the width of an error line, so a long product
+    # still makes one short FAIL line
+    return (
+        f"product mismatch: {what} multiply to '{clip(format_word(product), 160)}', "
+        f"target reduces to '{clip(format_word(target), 160)}'"
+    )
 
 
 class PowerCertificate(Value):
@@ -163,10 +164,7 @@ def power_certificate_failure(p: PowerCertificate, space: Space) -> Optional[str
         product = concat(product, word_power(x, p.n, space.base), space.base)
     target = free_reduce(p.target, space.base)
     if product != target:
-        return (
-            f"product mismatch: powers multiply to '{format_word(product)}', "
-            f"target reduces to '{format_word(target)}'"
-        )
+        return _mismatch("powers", product, target)
     return None
 
 
@@ -360,9 +358,9 @@ def exponent_obstruction(w: Word, m: int, n: int) -> Optional[ExponentObstructio
     _check_odd_exponent(n)
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    allowed = _star_alphabet(m)
+    space = star_space(m)
     for letter in w:
-        if letter.point not in allowed:
+        if not space.contains(letter.point):
             raise ValueError(f"letter point {letter.point!r} is not among e1..e{m}")
     sums = tuple((f"e{i}", exponent_sum(w, f"e{i}")) for i in range(1, m + 1))
     if all(s % n != 0 for _, s in sums):
@@ -378,43 +376,14 @@ def decomposition_to_json(d: ConjugateDecomposition) -> dict:
     }
 
 
-def _field(data: dict, key: str):
-    try:
-        return data[key]
-    except KeyError:
-        raise ValueError(f"certificate file is missing field {key!r}") from None
-
-
-def _json_int(data: dict, key: str) -> int:
-    value = _field(data, key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"field {key!r} must be an integer")
-    return value
-
-
-def _json_str(data: dict, key: str) -> str:
-    value = _field(data, key)
-    if not isinstance(value, str):
-        raise ValueError(f"field {key!r} must be a string")
-    return value
-
-
-def _json_list(data: dict, key: str, item) -> list:
-    value = _field(data, key)
-    if not isinstance(value, list) or not all(isinstance(x, item) for x in value):
-        kind = "strings" if item is str else "objects"
-        raise ValueError(f"field {key!r} must be a list of {kind}")
-    return value
-
-
 def decomposition_from_json(data: dict) -> ConjugateDecomposition:
-    m = _json_int(data, "m")
+    m = json_int(data, "certificate", "m")
     space = star_space(m)
-    target = parse_word(_json_str(data, "target"), space)
+    target = parse_word(json_str(data, "certificate", "target"), space)
     factors = []
-    for entry in _json_list(data, "factors", dict):
-        g = parse_word(_json_str(entry, "g"), space)
-        a_word = parse_word(_json_str(entry, "a"), space)
+    for entry in json_list(data, "certificate", "factors", dict, "objects"):
+        g = parse_word(json_str(entry, "certificate", "g"), space)
+        a_word = parse_word(json_str(entry, "certificate", "a"), space)
         if len(a_word) != 1:
             raise ValueError(f"factor letter {entry['a']!r} must be a single letter")
         factors.append((g, a_word[0]))
@@ -431,9 +400,14 @@ def power_certificate_to_json(p: PowerCertificate) -> dict:
 
 
 def power_certificate_from_json(data: dict, space: Space) -> PowerCertificate:
+    """Decode a power certificate; a base of more than ``NORM_LENGTH_MAX``
+    letters is rejected before anything is normed."""
+    bases = json_list(data, "certificate", "bases", str, "strings")
+    for idx, x in enumerate(bases, 1):
+        check_length(f"base {idx}", x)
     return PowerCertificate(
-        n=_json_int(data, "n"),
-        c=parse_rational(_json_str(data, "c")),
-        target=parse_word(_json_str(data, "target"), space),
-        bases=tuple(parse_word(x, space) for x in _json_list(data, "bases", str)),
+        n=json_int(data, "certificate", "n"),
+        c=parse_rational(json_str(data, "certificate", "c")),
+        target=parse_word(json_str(data, "certificate", "target"), space),
+        bases=tuple(parse_word(x, space) for x in bases),
     )

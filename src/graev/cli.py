@@ -18,17 +18,11 @@ import re
 import sys
 from typing import NoReturn, Optional, Sequence
 
-from .norm import graev_metric, is_sigma, matching_to_json, norm_dp
+from .norm import NORM_LENGTH_MAX, check_length, graev_metric, is_sigma, matching_to_json, norm_dp  # re-exports NORM_LENGTH_MAX
 from .rationals import clip, parse_rational
 from .spaces import Space, read_json, resolve_space, star_space
 from .words import format_word, free_reduce, parse_word
 
-
-# letters of a norm's word, a metric's two words together or a search target,
-# counted as given, before free reduction; the slowest interval norm measured
-# at the cap, 256 letters with distinct prime denominators, took 5-8 s and
-# 30 MB in one process on a 2-core VM
-NORM_LENGTH_MAX = 256
 
 # ASCII digits with an optional sign, as for rationals: int() alone would also
 # take underscores and other scripts' digits
@@ -42,12 +36,6 @@ def integer(text: str) -> int:
     return int(text)
 
 
-def _check_length(what: str, *texts: str) -> None:
-    letters = sum(len(text.split()) for text in texts)
-    if letters > NORM_LENGTH_MAX:
-        raise ValueError(f"{what}: {letters} letters is above the limit of {NORM_LENGTH_MAX}")
-
-
 def _space(args: argparse.Namespace, default: str = "interval") -> Space:
     return resolve_space(args.space if args.space is not None else default)
 
@@ -59,7 +47,7 @@ def _print_json(payload: dict) -> None:
 
 
 def _cmd_norm(args: argparse.Namespace) -> int:
-    _check_length("word", args.word)
+    check_length("word", args.word)
     space = _space(args)
     word = free_reduce(parse_word(args.word, space), space.base)
     value, matching = norm_dp(word, space)
@@ -71,7 +59,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 
 
 def _cmd_metric(args: argparse.Namespace) -> int:
-    _check_length("left and right words", args.left, args.right)
+    check_length("left and right words", args.left, args.right)
     space = _space(args)
     u = parse_word(args.left, space)
     v = parse_word(args.right, space)
@@ -109,9 +97,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         power_certificate_from_json,
     )
 
-    data = read_json(args.certificate)
-    if not isinstance(data, dict):
-        raise ValueError("the certificate file must hold a JSON object")
+    data = read_json(args.certificate, "certificate")
     if "factors" in data:
         failure = conjugate_decomposition_failure(decomposition_from_json(data))
     elif "bases" in data:
@@ -134,7 +120,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     from .certificates import power_certificate_to_json, search_power_certificate
 
-    _check_length("target", args.word)
+    check_length("target", args.word)
     space = _space(args)
     word = parse_word(args.word, space)
     certificate = search_power_certificate(
@@ -176,9 +162,7 @@ def _cmd_extend_map(args: argparse.Namespace) -> int:
         partial_contraction_from_json,
     )
 
-    data = read_json(args.mapfile)
-    if not isinstance(data, dict):
-        raise ValueError("the map file must hold a JSON object")
+    data = read_json(args.mapfile, "map")
     space = _space(args)
     if "points" in data and "values" in data:
         mapping = extend_partial_contraction(partial_contraction_from_json(data))

@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 
 from .norm import graev_metric, graev_norm
 from .rationals import parse_rational
-from .spaces import INTERVAL, FiniteSpace, FrozenTable, Space, chain_space, star_space
+from .spaces import INTERVAL, FiniteSpace, FrozenTable, Space, chain_space, json_field, json_list, star_space
 from .values import Value
 from .words import Letter, Point, Word, free_reduce, invert_word, parse_word
 
@@ -324,14 +324,18 @@ def map_from_json(data: dict, space: Space) -> PointMap:
     if "scale" in data:
         return PointMap.scaling(parse_rational(data["scale"]))
     if "breakpoints" in data:
-        raw = data["breakpoints"]
-        if not isinstance(raw, list) or not all(isinstance(b, list) and len(b) == 2 for b in raw):
-            raise ValueError("field 'breakpoints' must be a list of [x, y] pairs")
+        raw = json_field(
+            data, "map", "breakpoints",
+            lambda v: isinstance(v, list) and all(isinstance(b, list) and len(b) == 2 for b in v),
+            "a list of [x, y] pairs",
+        )
         return PointMap.piecewise([(parse_rational(x), parse_rational(y)) for x, y in raw])
     if "map" in data:
-        raw = data["map"]
-        if not isinstance(raw, dict) or not all(isinstance(q, str) for q in raw.values()):
-            raise ValueError("field 'map' must be an object from point names to point names")
+        raw = json_field(
+            data, "map", "map",
+            lambda v: isinstance(v, dict) and all(isinstance(q, str) for q in v.values()),
+            "an object from point names to point names",
+        )
         table: dict[Point, Point] = {}
         for p, q in raw.items():
             lp = parse_word(p, space)
@@ -346,14 +350,11 @@ def map_from_json(data: dict, space: Space) -> PointMap:
 
 
 def partial_contraction_from_json(data: dict) -> PartialContraction:
-    fields = []
-    for name in ("points", "values"):
-        if name not in data:
-            raise ValueError(f"partial contraction file is missing field {name!r}")
-        if not isinstance(data[name], list):
-            raise ValueError(f"field {name!r} must be a list of rationals such as '1/2'")
-        fields.append(tuple(parse_rational(t) for t in data[name]))
-    points, values = fields
+    rationals = "rationals such as '1/2'"
+    points, values = (
+        tuple(parse_rational(t) for t in json_list(data, "partial contraction", name, object, rationals))
+        for name in ("points", "values")
+    )
     if len(points) != len(values):
         raise ValueError(
             "fields 'points' and 'values' must have the same length, "

@@ -23,7 +23,7 @@ import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Union
 
 from .rationals import clip, parse_rational
 from .values import Value
@@ -130,16 +130,10 @@ class FiniteSpace(Value):
 
     @staticmethod
     def from_table(
-        base: str,
-        points: tuple[str, ...],
-        entries: Mapping[tuple[str, str], Fraction],
-        validate: bool = True,
+        base: str, points: tuple[str, ...], entries: Mapping[tuple[str, str], Fraction]
     ) -> "FiniteSpace":
-        """Build from off-diagonal entries; symmetric closure is applied.
-
-        With ``validate`` (the default) the metric axioms are checked and a
-        violation raises ValueError.
-        """
+        """Build from off-diagonal entries; symmetric closure is applied and
+        the metric axioms are checked, so a violation raises ValueError."""
         if base not in points:
             raise ValueError(f"base point {base!r} is not among the points")
         if len(set(points)) != len(points):
@@ -158,10 +152,9 @@ class FiniteSpace(Value):
             if (a, b) not in table:
                 raise ValueError(f"missing distance for pair ({a}, {b})")
         space = FiniteSpace(base=base, points=tuple(points), table=table)
-        if validate:
-            violation = validate_metric(space)
-            if violation is not None:
-                raise ValueError(f"not a metric: {violation}")
+        violation = validate_metric(space)
+        if violation is not None:
+            raise ValueError(f"not a metric: {violation}")
         return space
 
 
@@ -253,25 +246,14 @@ def space_to_json(space: Space) -> dict:
 def space_from_json(data: dict) -> Space:
     """Decode a space; the symmetric closure is applied and the metric
     axioms are validated, so loading an invalid table fails."""
-    if not isinstance(data, dict):
-        raise ValueError("a space file must hold a JSON object")
     kind = data.get("kind")
     if kind == "interval":
         return INTERVAL
     if kind != "finite":
         raise ValueError(f"unknown space kind {kind!r}")
-    try:
-        base = data["base"]
-        points = data["points"]
-        raw = data["dist"]
-    except KeyError as missing:
-        raise ValueError(f"space file is missing field {missing}") from None
-    if not isinstance(base, str):
-        raise ValueError("field 'base' must be a string")
-    if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
-        raise ValueError("field 'points' must be a list of strings")
-    if not isinstance(raw, dict):
-        raise ValueError("field 'dist' must be an object")
+    base = json_str(data, "space", "base")
+    points = json_list(data, "space", "points", str, "strings")
+    raw = json_field(data, "space", "dist", lambda v: isinstance(v, dict), "an object")
     for p in points:
         if "," in p:
             raise ValueError(f"point name {p!r} may not contain a comma")
@@ -281,22 +263,55 @@ def space_from_json(data: dict) -> Space:
         if len(parts) != 2:
             raise ValueError(f"bad distance key {key!r}, expected 'a,b'")
         entries[(parts[0], parts[1])] = parse_rational(value)
-    return FiniteSpace.from_table(base, tuple(points), entries, validate=True)
+    return FiniteSpace.from_table(base, tuple(points), entries)
 
 
-def read_json(path: str):
-    """The JSON value held in a file; nesting too deep to decode is a ValueError."""
+def read_json(path: str, kind: str) -> dict:
+    """The JSON object held in a ``kind`` file; any other top-level value, or
+    nesting too deep to decode, is a ValueError.  Every file the program reads
+    comes through here, and the decoders read its fields with ``json_field``
+    and the readers below it, so every file kind reports a bad field alike."""
     import json  # here, so commands that read no file skip loading it
 
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            data = json.load(handle)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"the {kind} file must hold a JSON object")
+    return data
+
+
+def json_field(data: dict, kind: str, key: str, valid: Callable[[object], bool], shape: str):
+    """``data[key]`` read from a ``kind`` file.  A missing field, or a value
+    ``valid`` rejects, is a ValueError; ``shape`` says what it must be."""
+    try:
+        value = data[key]
+    except KeyError:
+        raise ValueError(f"{kind} file is missing field {key!r}") from None
+    if not valid(value):
+        raise ValueError(f"field {key!r} must be {shape}")
+    return value
+
+
+def json_int(data: dict, kind: str, key: str) -> int:
+    return json_field(data, kind, key, lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+
+
+def json_str(data: dict, kind: str, key: str) -> str:
+    return json_field(data, kind, key, lambda v: isinstance(v, str), "a string")
+
+
+def json_list(data: dict, kind: str, key: str, item: type, items: str) -> list:
+    """A list field whose entries are all ``item``s; ``items`` names them."""
+    return json_field(
+        data, kind, key, lambda v: isinstance(v, list) and all(isinstance(x, item) for x in v), f"a list of {items}"
+    )
 
 
 def load_space(path: str) -> Space:
-    return space_from_json(read_json(path))
+    return space_from_json(read_json(path, "space"))
 
 
 _BUILTIN = re.compile(r"lemma32-m([0-9]+)")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,26 @@ def test_verify_bad_decomposition_file(capsys, tmp_path):
     assert out.startswith("FAIL: product mismatch")
 
 
+@pytest.mark.parametrize(
+    "payload, what, product, target",
+    [
+        # e1^300 against e2^100: both words are far wider than an error line
+        ({"n": 3, "c": "101", "target": "e2 " * 100, "bases": ["e1 " * 100]}, "powers", "e1 " * 300, "e2 " * 100),
+        # a 100-letter conjugator makes a 201-letter product
+        ({"m": 3, "target": "e2", "factors": [{"g": "e1 " * 100, "a": "e2"}]}, "factors",
+         "e1 " * 100 + "e2" + " e1^-1" * 100, "e2"),
+    ],
+    ids=["power", "decomposition"],
+)
+def test_verify_fail_clips_each_word_of_a_product_mismatch(capsys, tmp_path, payload, what, product, target):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run_cli(capsys, "verify", "--space", "lemma32-m3", str(path))
+    product, target = (clip(word.strip(), 160) for word in (product, target))
+    assert code == 1
+    assert out == f"FAIL: product mismatch: {what} multiply to '{product}', target reduces to '{target}'\n"
+
+
 def test_verify_json_mode(capsys, tmp_path):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps({"n": 3, "c": "1/2", "target": "2/5 2/5 2/5", "bases": ["2/5"]}))
@@ -268,6 +289,32 @@ def test_malformed_space_files_are_usage_errors(capsys, tmp_path):
         assert message in err and err.count("\n") == 1, (payload, err)
     path.write_text(json.dumps(space))
     assert run_cli(capsys, "norm", "--space", str(path), "a") == (0, "1\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, payload, message",
+    [
+        (["norm", "--space", "{path}", "a"], ["finite"], "the space file must hold a JSON object"),
+        (["norm", "--space", "{path}", "a"], {"kind": "finite", "points": ["e", "a"], "dist": {}},
+         "space file is missing field 'base'"),
+        (["extend-map", "{path}"], "1/2", "the map file must hold a JSON object"),
+        (["extend-map", "{path}"], {"scales": "1/2"}, "map file needs one of 'map', 'scale' or 'breakpoints'"),
+        # a partial contraction file is a map file with both 'points' and
+        # 'values'; with one of them it is read as a point map
+        (["extend-map", "{path}"], [["0", "1"], ["0", "1/2"]], "the map file must hold a JSON object"),
+        (["extend-map", "{path}"], {"points": ["0", "1"]}, "map file needs one of 'map', 'scale' or 'breakpoints'"),
+        (["verify", "{path}"], 3, "the certificate file must hold a JSON object"),
+        (["verify", "{path}"], {"n": 3, "target": "", "bases": []}, "certificate file is missing field 'c'"),
+        (["verify", "{path}"], {"m": 3, "factors": []}, "certificate file is missing field 'target'"),
+    ],
+    ids=["space", "space-field", "map", "map-field", "partial", "partial-field", "power", "power-field",
+         "decomposition-field"],
+)
+def test_every_file_kind_rejects_a_non_object_and_a_missing_field(capsys, tmp_path, argv, payload, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, *(arg.format(path=path) for arg in argv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -449,6 +496,36 @@ def test_words_at_the_length_cap_run(capsys):
     assert run_cli(capsys, "norm", "--space", "lemma32-m3", "e1 " * limit) == (0, f"{limit}\n", "")
     metric = run_cli(capsys, "metric", "--space", "lemma32-m3", "e1 " * half, "e2 " * half)
     assert metric == (0, f"{2 * half}\n", "")
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        "e1 " * (NORM_LENGTH_MAX + 1),
+        # the interval base of 512 letters with denominators 12 that once ran
+        # for seconds of norm before verify printed FAIL
+        " ".join(f"{k % 11 + 1}/12{'^-1' * (k % 2)}" for k in range(2 * NORM_LENGTH_MAX)),
+    ],
+    ids=["star3-over-by-one", "interval-512"],
+)
+def test_verify_rejects_a_base_over_the_length_cap_before_norming(capsys, tmp_path, base):
+    letters = len(base.split())
+    space = "lemma32-m3" if base.startswith("e1") else "interval"
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"n": 3, "c": "1", "target": "", "bases": ["", base]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--space", space, str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: base 2: {letters} letters is above the limit of {NORM_LENGTH_MAX}\n"
+
+
+def test_verify_accepts_a_base_at_the_length_cap(capsys, tmp_path):
+    base = "e1 " * NORM_LENGTH_MAX
+    path = tmp_path / "cert.json"
+    payload = {"n": 3, "c": str(NORM_LENGTH_MAX + 1), "target": base * 3, "bases": [base]}
+    path.write_text(json.dumps(payload))
+    assert run_cli(capsys, "verify", "--space", "lemma32-m3", str(path)) == (0, "PASS\n", "")
 
 
 def test_check_sigma_accepts(capsys):

@@ -241,17 +241,22 @@ def test_cross_extension_trivial_on_identical_spaces():
     assert check_cross_extension(space, space, translation, samples)
 
 
+@pytest.mark.parametrize("missing", ["points", "values"])
+def test_partial_contraction_names_a_missing_field(missing):
+    data = {"points": ["0", "1"], "values": ["0", "1/2"]}
+    del data[missing]
+    with pytest.raises(ValueError) as error:
+        partial_contraction_from_json(data)
+    assert str(error.value) == f"partial contraction file is missing field {missing!r}"
+
+
 def test_cross_extension_fails_on_altered_metric():
     # raising d(e1, e2) to 3 breaks the restriction hypothesis
-    altered = FiniteSpace.from_table(
-        "e",
-        ("e", "e1", "e2"),
-        {
-            ("e", "e1"): Fraction(1),
-            ("e", "e2"): Fraction(1),
-            ("e1", "e2"): Fraction(3),
-        },
-        validate=False,
+    # built directly, since from_table would reject the broken triangle
+    points = ("e", "e1", "e2")
+    distance = {frozenset(("e", "e1")): 1, frozenset(("e", "e2")): 1, frozenset(("e1", "e2")): 3}
+    altered = FiniteSpace(
+        "e", points, {(a, b): Fraction(distance.get(frozenset((a, b)), 0)) for a in points for b in points}
     )
     base = triangular_translation(2)
     translation = BasisTranslation(chain_space(2), altered, base.a_to_b, base.b_to_a)

@@ -46,3 +46,21 @@ def test_library_has_no_floats():
     # comparisons are decidable; the suite's sampling probabilities are the
     # one exception, and they never reach a norm
     assert _found(_is_float, skip=("suite.py",)) == []
+
+
+def _decodes_json(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "json" and any(alias.name in ("load", "loads") for alias in node.names)
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in ("load", "loads")
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "json"
+    )
+
+
+def test_only_spaces_decodes_json():
+    # spaces.read_json is the one file boundary: it checks the top level is
+    # an object, and the field readers beside it give every file kind the
+    # same messages, so no other module may decode JSON itself
+    assert _found(_decodes_json, skip=("spaces.py",)) == []
