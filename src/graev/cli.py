@@ -164,7 +164,7 @@ def _cmd_extend_map(args: argparse.Namespace) -> int:
 
     data = read_json(args.mapfile, "map")
     space = _space(args)
-    if "points" in data and "values" in data:
+    if "points" in data or "values" in data:
         mapping = extend_partial_contraction(partial_contraction_from_json(data))
     else:
         mapping = map_from_json(data, space)

@@ -21,19 +21,30 @@ distance to the base point.  Two evaluators are provided:
 
 The two must agree exactly on every input; that equivalence is an oracle
 check in the test suite, not an assumption here.
+
+Callers that need only a value run on integer costs: ``integer_costs`` has
+the space scale every cost to an integer over one common denominator,
+bounded by ``SCALE_DIGITS_MAX``, with no ``Fraction`` arithmetic.  They are
+``graev_norm`` and ``graev_metric`` (the same fill, no matching recovered),
+the brute force and the certificate search's candidate norms.  ``norm_dp``,
+which recovers a matching, still fills over ``Fraction`` costs: on integer
+costs it would run many times faster, and the benchmark, whose peak RSS
+grows with the ops a run completes, would read that as a memory regression
+until it samples RSS apart from throughput.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import getitem
-from typing import Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterator, Sequence, TypeVar
 
-from .spaces import Space
 from .values import Value
-from .words import Letter, Word, concat, free_reduce, invert_word
+from .words import Letter, Word, free_reduce, invert_word
+
+if TYPE_CHECKING:
+    from .spaces import Space
 
 SIGMA_ENUM_MAX = 10
 BRUTE_FORCE_MAX = 10
@@ -43,6 +54,15 @@ BRUTE_FORCE_MAX = 10
 # cap, 256 letters with distinct prime denominators, took 5-8 s and 30 MB in
 # one process on a 2-core VM
 NORM_LENGTH_MAX = 256
+
+# digits of the common denominator a norm's costs are scaled to: the lcm of
+# the letters' denominators on the interval, of the distance table's on a
+# finite space.  Any one rational (at most 1000 digits) fits, and a value's
+# numerator has at most 1003 digits more, so every value prints.  At the
+# length cap, 256 interval letters with distinct prime denominators (an lcm
+# of 1002 digits) took 11.5 s in norm_dp and 0.3 s as a value alone on a
+# 2-core VM; with an lcm of 2561 digits norm_dp took 31 s
+SCALE_DIGITS_MAX = 1000
 
 Num = TypeVar("Num")  # an exact number type: Fraction or int
 
@@ -174,6 +194,15 @@ def check_length(what: str, *texts: str) -> None:
         raise ValueError(f"{what}: {letters} letters is above the limit of {NORM_LENGTH_MAX}")
 
 
+def check_scale(scale: int, what: str) -> int:
+    """``scale``, the common denominator of ``what`` costs, unless it has
+    more than ``SCALE_DIGITS_MAX`` digits."""
+    # 10^d has more than 3d bits, so a shorter scale needs no comparison
+    if scale.bit_length() > 3 * SCALE_DIGITS_MAX and scale >= 10**SCALE_DIGITS_MAX:
+        raise ValueError(f"{what} common denominator is above the limit of {SCALE_DIGITS_MAX} digits")
+    return scale
+
+
 def fixed_cost(letter: Letter, space: Space) -> Fraction:
     """Cost of leaving a position unmatched: d~(x, e) = d~(x, x^-1)/2."""
     return space.signed_dist(letter.point, letter.sign, space.base, 1)
@@ -192,16 +221,13 @@ def integer_costs(
 
     ``fix[j]`` is d~(x_j, e) and ``pair[t][j]`` is d~(x_t, x_j^-1) for every
     t and j, the diagonal d~(x, x^-1) included, each multiplied by
-    ``scale``, the lcm of all their denominators.  The distances are
-    computed once per distinct letter and pair of distinct letters.
+    ``scale``, the space's ``cost_scale``.  The space computes them, with no
+    ``Fraction`` arithmetic, once per distinct letter and pair of distinct
+    letters.
     """
-    index: dict[Letter, int] = {}
-    at = [index.setdefault(x, len(index)) for x in letters]
-    fix = [fixed_cost(x, space) for x in index]
-    pair = [[pair_cost(x, y, space) for y in index] for x in index]
-    scale = lcm(*(v.denominator for v in fix), *(v.denominator for row in pair for v in row))
-    fix = [v.numerator * (scale // v.denominator) for v in fix]
-    pair = [[v.numerator * (scale // v.denominator) for v in row] for row in pair]
+    index: dict[tuple, int] = {}
+    at = [index.setdefault((x.point, x.sign), len(index)) for x in letters]
+    fix, pair, scale = space.integer_costs(list(index))
     return [fix[i] for i in at], [[pair[i][j] for j in at] for i in at], scale
 
 
@@ -242,6 +268,7 @@ def norm_dp(w: Word, space: Space) -> tuple[Fraction, SigmaMatching]:
         return Fraction(0), SigmaMatching(0, ())
     dist, base = space.signed_dist, space.base
     signed = [(x.point, x.sign) for x in w.letters]
+    space.cost_scale([p for p, _ in signed])  # the limit on the scale, as for integer costs
     fix = [dist(p, s, base, 1) for p, s in signed]
     # interval_fill reads pair[t][j] for t < j only; the rest is padding
     pair = [
@@ -318,10 +345,12 @@ def interval_fill(
 
 
 def graev_norm(w: Word, space: Space) -> Fraction:
-    """Canonical norm of the group element: evaluated on the reduced form."""
-    return norm_dp(free_reduce(w, space.base), space)[0]
+    """Canonical norm of the group element: evaluated on the reduced form, as
+    a value alone, by the fill over ``integer_costs``."""
+    fix, pair, scale = integer_costs(free_reduce(w, space.base).letters, space)
+    return Fraction(interval_fill(fix, pair, 0)[0], scale)
 
 
 def graev_metric(u: Word, v: Word, space: Space) -> Fraction:
     """The induced invariant metric: norm of u * v^-1."""
-    return norm_dp(concat(u, invert_word(v), space.base), space)[0]
+    return graev_norm(Word(u.letters + invert_word(v).letters), space)

@@ -13,6 +13,10 @@ signed table built once from its distances.  The base letter needs no
 branch: d(e, e) = 0, so d(e, y) and d(e, e) + d(e, y) are the same value
 and either sign of e gives it.
 
+Each space also gives the norm's costs as integers, without ``Fraction``
+arithmetic, in ``integer_costs``, over a common denominator bounded by
+``graev.norm.SCALE_DIGITS_MAX``.
+
 Spaces are immutable after construction, hashable, and safe to share between
 concurrent norm computations.
 """
@@ -23,8 +27,10 @@ import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Mapping, Optional, Union
+from math import lcm
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
+from .norm import check_scale
 from .rationals import clip, parse_rational
 from .values import Value
 
@@ -86,12 +92,30 @@ class IntervalSpace(Value):
             raise ValueError(f"letter point {q!r} is not in the space")
         return abs(p - q) if sp == sq else p + q
 
+    def cost_scale(self, points: Sequence["Point"]) -> int:
+        """The lcm of the points' denominators, each checked to be in the space."""
+        scale = 1
+        for p in points:
+            if not self.contains(p):
+                raise ValueError(f"letter point {p!r} is not in the space")
+            scale = lcm(scale, p.denominator)
+        return check_scale(scale, "the letters'")
+
+    def integer_costs(self, letters: Sequence[tuple["Point", int]]) -> tuple[list, list, int]:
+        """(fix, pair, scale) of distinct letters (point, sign): d~(x_t, e) and
+        d~(x_t, x_j^-1) times ``cost_scale``, |P - Q| or P + Q on P = p * scale."""
+        scale = self.cost_scale([p for p, _ in letters])
+        whole = [(p.numerator * (scale // p.denominator), s) for p, s in letters]
+        pair = [[abs(a - b) if s != r else a + b for b, r in whole] for a, s in whole]
+        return [a for a, _ in whole], pair, scale
+
 
 class FiniteSpace(Value):
-    # ``signed`` maps (a, b) to (d~ for equal signs, d~ for opposite signs);
-    # it is derived from the table, so it is no field: it takes no part in
-    # equality, hashing or the repr
-    __slots__ = ("base", "points", "table", "signed")
+    # ``signed`` maps (a, b) to (d~ for equal signs, d~ for opposite signs),
+    # ``scaled`` to both times ``table_scale``, the lcm of the table's
+    # denominators; derived from the table, they are no fields: they take no
+    # part in equality, hashing or the repr
+    __slots__ = ("base", "points", "table", "signed", "scaled", "table_scale")
     _fields = ("base", "points", "table")
 
     kind = "finite"
@@ -101,10 +125,15 @@ class FiniteSpace(Value):
     ) -> None:
         table = FrozenTable(table)
         signed = {(a, b): (d, table[a, base] + table[base, b]) for (a, b), d in table.items()}
+        scale = check_scale(lcm(*(d.denominator for d in table.values())), "the space's")
+        scaled = {key: (d.numerator * (scale // d.denominator), o.numerator * (scale // o.denominator))
+                  for key, (d, o) in signed.items()}
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "signed", signed)
+        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "table_scale", scale)
 
     @property
     def generators(self) -> tuple[str, ...]:
@@ -127,6 +156,20 @@ class FiniteSpace(Value):
         except (KeyError, TypeError):
             bad = q if p in self.points else p
             raise ValueError(f"letter point {bad!r} is not in the space") from None
+
+    def cost_scale(self, points: Sequence[str]) -> int:
+        """The lcm of the table's denominators, whatever the points."""
+        return self.table_scale
+
+    def integer_costs(self, letters: Sequence[tuple[str, int]]) -> tuple[list, list, int]:
+        """(fix, pair, scale) of distinct letters (point, sign), read from ``scaled``."""
+        try:
+            fix = [self.scaled[p, self.base][0] for p, _ in letters]
+            pair = [[self.scaled[p, q][s == r] for q, r in letters] for p, s in letters]
+        except (KeyError, TypeError):
+            bad = next(p for p, _ in letters if p not in self.points)
+            raise ValueError(f"letter point {bad!r} is not in the space") from None
+        return fix, pair, self.table_scale
 
     @staticmethod
     def from_table(

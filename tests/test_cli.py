@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from graev.cli import NORM_LENGTH_MAX, main
+from graev.norm import SCALE_DIGITS_MAX
 from graev.rationals import RATIONAL_DIGITS_MAX, clip
 from graev.spaces import SPACE_RANK_MAX
 
@@ -299,10 +301,8 @@ def test_malformed_space_files_are_usage_errors(capsys, tmp_path):
          "space file is missing field 'base'"),
         (["extend-map", "{path}"], "1/2", "the map file must hold a JSON object"),
         (["extend-map", "{path}"], {"scales": "1/2"}, "map file needs one of 'map', 'scale' or 'breakpoints'"),
-        # a partial contraction file is a map file with both 'points' and
-        # 'values'; with one of them it is read as a point map
         (["extend-map", "{path}"], [["0", "1"], ["0", "1/2"]], "the map file must hold a JSON object"),
-        (["extend-map", "{path}"], {"points": ["0", "1"]}, "map file needs one of 'map', 'scale' or 'breakpoints'"),
+        (["extend-map", "{path}"], {"points": ["0", "1"]}, "partial contraction file is missing field 'values'"),
         (["verify", "{path}"], 3, "the certificate file must hold a JSON object"),
         (["verify", "{path}"], {"n": 3, "target": "", "bases": []}, "certificate file is missing field 'c'"),
         (["verify", "{path}"], {"m": 3, "factors": []}, "certificate file is missing field 'target'"),
@@ -496,6 +496,54 @@ def test_words_at_the_length_cap_run(capsys):
     assert run_cli(capsys, "norm", "--space", "lemma32-m3", "e1 " * limit) == (0, f"{limit}\n", "")
     metric = run_cli(capsys, "metric", "--space", "lemma32-m3", "e1 " * half, "e2 " * half)
     assert metric == (0, f"{2 * half}\n", "")
+
+
+def _coprime_denominators():
+    """Powers of 3, 5 and 7, then the largest power of 2 that keeps their
+    product, which is also their lcm, below 10^SCALE_DIGITS_MAX: an lcm of
+    exactly ``SCALE_DIGITS_MAX`` digits, each power a few hundred."""
+    odd = [3**300, 5**200, 7**170]
+    product = odd[0] * odd[1] * odd[2]
+    two = 1
+    while product * two * 2 < 10**SCALE_DIGITS_MAX:
+        two *= 2
+    return [two, *odd]
+
+
+def test_a_common_denominator_at_the_scale_limit_prints(capsys):
+    # same-sign interval letters never pair, so the norm is their sum
+    under = _coprime_denominators()
+    assert len(str(under[0] * under[1] * under[2] * under[3])) == SCALE_DIGITS_MAX
+    total = sum(Fraction(1, q) for q in under)
+    word = [f"1/{q}" for q in under]
+    assert run_cli(capsys, "norm", " ".join(word)) == (0, f"{total}\n", "")
+    right = " ".join(f"{q}^-1" for q in reversed(word[2:]))
+    assert run_cli(capsys, "metric", " ".join(word[:2]), right) == (0, f"{total}\n", "")
+
+
+@pytest.mark.parametrize("command", ["norm", "metric"])
+def test_a_common_denominator_over_the_scale_limit_is_a_usage_error(capsys, command):
+    # 64 letters with 100-digit denominators, an lcm of thousands of digits,
+    # once normed for seconds and then failed to print
+    letters = [f"1/{10**99 + k}" for k in range(64)]
+    words = [" ".join(letters)] if command == "norm" else [" ".join(letters[:32]), " ".join(letters[32:])]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, *words)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: the letters' common denominator is above the limit of {SCALE_DIGITS_MAX} digits\n"
+
+
+def test_a_space_table_over_the_scale_limit_is_a_usage_error(capsys, tmp_path):
+    # each distance is 1 + 1/q with q a power of 3, 5 or 7 of about 400
+    # digits: a metric, but the lcm of its table has about 1200 digits
+    qs = [3**840, 5**573, 7**474]
+    dist = {key: f"{q + 1}/{q}" for key, q in zip(("e,a", "e,b", "a,b"), qs)}
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"kind": "finite", "base": "e", "points": ["e", "a", "b"], "dist": dist}))
+    code, out, err = run_cli(capsys, "norm", "--space", str(path), "a")
+    assert (code, out) == (2, "")
+    assert err == f"error: the space's common denominator is above the limit of {SCALE_DIGITS_MAX} digits\n"
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,14 @@
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
-
-from fractions import Fraction
 
 import graev.norm
 from graev.norm import (
     BRUTE_FORCE_MAX,
+    SCALE_DIGITS_MAX,
+    check_scale,
     enumerate_sigma,
     fixed_cost,
     graev_metric,
@@ -29,6 +31,7 @@ SPACES = (star_space(2), STAR3, INTERVAL)
 TRIANGLE = FiniteSpace.from_table(
     "e", ("e", "a", "b"), {("e", "a"): Fraction(1), ("e", "b"): Fraction(1), ("a", "b"): Fraction(2, 3)}
 )
+FIVE_SPACES = (INTERVAL, star_space(2), STAR3, chain_space(4), TRIANGLE)
 
 
 def _reference_bruteforce(w: Word, space) -> Fraction:
@@ -49,21 +52,26 @@ def _reference_bruteforce(w: Word, space) -> Fraction:
     return best / 2
 
 
+def _seeded_word(rng, space, k):
+    """An unreduced word of k letters over ``space``: about a fifth of the
+    letters not in cancelling pairs are base-point letters."""
+    pairs = rng.randint(0, k // 2)
+    letters = [
+        Letter(space.base, rng.choice((1, -1))) if rng.random() < 0.2
+        else random_letter(rng, space)
+        for _ in range(k - 2 * pairs)
+    ]
+    return insert_cancelling_pairs(rng, Word(tuple(letters)), pairs, space)
+
+
 def _oracle_corpus():
     """Seeded unreduced words of every length 0..10, with base-point letters
     and cancelling pairs, over five spaces."""
     rng = random.Random(4096)
-    spaces = (INTERVAL, star_space(2), STAR3, chain_space(4), TRIANGLE)
-    for space in spaces:
+    for space in FIVE_SPACES:
         for k in range(BRUTE_FORCE_MAX + 1):
             for _ in range(3 if k < 9 else 1):
-                pairs = rng.randint(0, k // 2)
-                letters = [
-                    Letter(space.base, rng.choice((1, -1))) if rng.random() < 0.2
-                    else random_letter(rng, space)
-                    for _ in range(k - 2 * pairs)
-                ]
-                yield space, insert_cancelling_pairs(rng, Word(tuple(letters)), pairs, space)
+                yield space, _seeded_word(rng, space, k)
 
 
 def _reference_fill(fix, pair, zero):
@@ -111,15 +119,9 @@ def _fill_corpus():
     from 0 to 20, then up to 40 in steps of 5) over five spaces, then small
     integer tables full of ties, then the forced ties of ``_tied_table``."""
     rng = random.Random(5150)
-    for space in (INTERVAL, star_space(2), STAR3, chain_space(4), TRIANGLE):
+    for space in FIVE_SPACES:
         for k in [*range(21), 25, 30, 35, 40]:
-            pairs = rng.randint(0, k // 2)
-            letters = [
-                Letter(space.base, rng.choice((1, -1))) if rng.random() < 0.2
-                else random_letter(rng, space)
-                for _ in range(k - 2 * pairs)
-            ]
-            word = insert_cancelling_pairs(rng, Word(tuple(letters)), pairs, space)
+            word = _seeded_word(rng, space, k)
             fix = [fixed_cost(x, space) for x in word]
             pair = [[pair_cost(x, y, space) for y in word] for x in word]
             yield fix, pair, Fraction(0)
@@ -259,6 +261,74 @@ def test_integer_costs_cover_pair_only_denominators():
     for t, x in enumerate(letters):
         assert fix[t] == 3 * fixed_cost(x, TRIANGLE)
         assert pair[t] == [3 * pair_cost(x, y, TRIANGLE) for y in letters]
+
+
+def _reference_costs(letters, space):
+    """The Fraction cost build that ``integer_costs`` replaced, kept verbatim."""
+    index: dict[Letter, int] = {}
+    at = [index.setdefault(x, len(index)) for x in letters]
+    fix = [fixed_cost(x, space) for x in index]
+    pair = [[pair_cost(x, y, space) for y in index] for x in index]
+    scale = lcm(*(v.denominator for v in fix), *(v.denominator for row in pair for v in row))
+    fix = [v.numerator * (scale // v.denominator) for v in fix]
+    pair = [[v.numerator * (scale // v.denominator) for v in row] for row in pair]
+    return [fix[i] for i in at], [[pair[i][j] for j in at] for i in at], scale
+
+
+def _cost_corpus():
+    """Seeded unreduced words, with base-point letters, of every length 0..20
+    and then up to 64, over five spaces: the interval with mixed
+    denominators, star2, star3, chain4 and the triangle whose 2/3 only a
+    pair cost has."""
+    rng = random.Random(7231)
+    for space in FIVE_SPACES:
+        for k in [*range(21), 28, 36, 44, 52, 64]:
+            yield space, _seeded_word(rng, space, k)
+
+
+def test_integer_costs_equal_the_reference_costs():
+    for space, word in _cost_corpus():
+        fix, pair, scale = integer_costs(word.letters, space)
+        ref_fix, ref_pair, ref_scale = _reference_costs(word.letters, space)
+        assert [Fraction(v, scale) for v in fix] == [Fraction(v, ref_scale) for v in ref_fix], word
+        for row, ref_row in zip(pair, ref_pair, strict=True):
+            assert [Fraction(v, scale) for v in row] == [Fraction(v, ref_scale) for v in ref_row], word
+        if space is INTERVAL:  # the lcm of the letters' denominators, as before
+            assert scale == ref_scale
+
+
+def test_value_only_norms_and_metrics_equal_norm_dp():
+    rng = random.Random(7232)
+    for space, word in _cost_corpus():
+        assert graev_norm(word, space) == norm_dp(free_reduce(word, space.base), space)[0], word
+        other = _seeded_word(rng, space, rng.randint(0, 8))
+        product = Word(word.letters + invert_word(other).letters)
+        assert graev_metric(word, other, space) == norm_dp(product, space)[0], (word, other)
+
+
+def test_integer_costs_do_no_fraction_arithmetic(monkeypatch):
+    rng = random.Random(77)
+    words = [(space, _seeded_word(rng, space, 24)) for space in (INTERVAL, STAR3, chain_space(4))]
+    expected = [_reference_costs(word.letters, space) for space, word in words]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in integer_costs")
+
+    # the operators, not only _add and the like: Fraction's operators hold
+    # the private helpers in closures made with the class
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__abs__",
+                 "_add", "_sub", "_mul"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    costs = [integer_costs(word.letters, space) for space, word in words]
+    monkeypatch.undo()
+    assert costs == expected  # each scale here is the lcm of the costs' denominators
+
+
+def test_scale_limit_admits_exactly_its_digits():
+    assert check_scale(10**SCALE_DIGITS_MAX - 1, "these") == 10**SCALE_DIGITS_MAX - 1
+    with pytest.raises(ValueError) as raised:
+        check_scale(10**SCALE_DIGITS_MAX, "these")
+    assert str(raised.value) == f"these common denominator is above the limit of {SCALE_DIGITS_MAX} digits"
 
 
 def test_dp_equals_brute_force_randomized():

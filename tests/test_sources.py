@@ -64,3 +64,18 @@ def test_only_spaces_decodes_json():
     # an object, and the field readers beside it give every file kind the
     # same messages, so no other module may decode JSON itself
     assert _found(_decodes_json, skip=("spaces.py",)) == []
+
+
+def _names_a_space_class(node: ast.AST) -> bool:
+    names = ("FiniteSpace", "IntervalSpace")
+    if isinstance(node, ast.Name):
+        return node.id in names
+    if isinstance(node, ast.Attribute):
+        return node.attr in names
+    return isinstance(node, ast.alias) and node.name in names
+
+
+def test_norm_names_no_space_class():
+    # each space computes its own costs (signed_dist, integer_costs), so the
+    # norm never branches on which kind of space it has
+    assert [where for where in _found(_names_a_space_class) if where.startswith("norm.py:")] == []

@@ -5,6 +5,7 @@ import pytest
 
 from fractions import Fraction
 
+from graev.norm import norm_dp
 from graev.spaces import (
     INTERVAL,
     SPACE_RANK_MAX,
@@ -18,7 +19,7 @@ from graev.spaces import (
     tilde_dist,
     validate_metric,
 )
-from graev.words import Letter, signed_alphabet
+from graev.words import Letter, Word, signed_alphabet
 
 STAR3 = star_space(3)
 TRIANGLE = FiniteSpace.from_table(
@@ -167,18 +168,18 @@ def _error(call) -> str:
     return str(raised.value)
 
 
-@pytest.mark.parametrize(
-    "space, inside, foreign",
-    [
-        (STAR3, "e1", "x9"),
-        (STAR3, "e", Fraction(1, 2)),
-        (TRIANGLE, "a", "e1"),
-        (INTERVAL, Fraction(1, 5), Fraction(7, 5)),
-        (INTERVAL, Fraction(1), Fraction(-1, 5)),
-        (INTERVAL, Fraction(0), 1),
-        (INTERVAL, Fraction(2, 5), "1/2"),
-    ],
-)
+FOREIGN_POINTS = [
+    (STAR3, "e1", "x9"),
+    (STAR3, "e", Fraction(1, 2)),
+    (TRIANGLE, "a", "e1"),
+    (INTERVAL, Fraction(1, 5), Fraction(7, 5)),
+    (INTERVAL, Fraction(1), Fraction(-1, 5)),
+    (INTERVAL, Fraction(0), 1),
+    (INTERVAL, Fraction(2, 5), "1/2"),
+]
+
+
+@pytest.mark.parametrize("space, inside, foreign", FOREIGN_POINTS)
 def test_tilde_dist_rejects_a_foreign_point_in_either_place_as_before(space, inside, foreign):
     for a, b in ((foreign, inside), (inside, foreign)):
         for sa in (1, -1):
@@ -187,6 +188,15 @@ def test_tilde_dist_rejects_a_foreign_point_in_either_place_as_before(space, ins
                 message = _error(lambda: tilde_dist(x, y, space))
                 assert message == _error(lambda: _reference_tilde_dist(x, y, space))
                 assert message == f"letter point {foreign!r} is not in the space"
+
+
+@pytest.mark.parametrize("space, inside, foreign", FOREIGN_POINTS)
+def test_integer_costs_reject_a_foreign_point_as_tilde_dist_does(space, inside, foreign):
+    for letters in ([(foreign, 1), (inside, -1)], [(inside, 1), (inside, -1), (foreign, -1)]):
+        message = _error(lambda: space.integer_costs(letters))
+        assert message == f"letter point {foreign!r} is not in the space"
+    with pytest.raises(ValueError, match="not in the space"):
+        norm_dp(Word((Letter(inside), Letter(foreign))), space)
 
 
 def test_interval_membership_is_the_closed_unit_segment():
