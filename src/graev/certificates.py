@@ -229,7 +229,7 @@ def _candidate_bases(
         value = pending.pop(_invert(key), None)
         if value is None:
             costs = [[pair[x][y] for y in key] for x in key]
-            value = pending[key] = interval_fill([fix[x] for x in key], costs, 0)[0]
+            value = pending[key] = interval_fill([fix[x] for x in key], costs)[0]
         if value * c.denominator < limit:
             out.append(base)
     return out

@@ -74,6 +74,7 @@ def _cmd_metric(args: argparse.Namespace) -> int:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     from .certificates import decompose_conjugates, decomposition_to_json
 
+    check_length("word", args.word)
     m = args.m
     space = star_space(m)
     if args.space is not None:
@@ -139,9 +140,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_sigma(args: argparse.Namespace) -> int:
-    text = args.permutation.replace(",", " ")
+    tokens = args.permutation.replace(",", " ").split()
+    # a matching norm_dp recovers has at most NORM_LENGTH_MAX positions
+    if len(tokens) > NORM_LENGTH_MAX:
+        raise ValueError(f"permutation: {len(tokens)} images is above the limit of {NORM_LENGTH_MAX}")
     try:
-        image = [integer(token) for token in text.split()]
+        image = [integer(token) for token in tokens]
     except ValueError:
         raise ValueError(f"bad permutation {clip(args.permutation)!r}: expected integers") from None
     verdict = is_sigma(image)

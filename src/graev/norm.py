@@ -22,15 +22,18 @@ distance to the base point.  Two evaluators are provided:
 The two must agree exactly on every input; that equivalence is an oracle
 check in the test suite, not an assumption here.
 
-Callers that need only a value run on integer costs: ``integer_costs`` has
-the space scale every cost to an integer over one common denominator,
-bounded by ``SCALE_DIGITS_MAX``, with no ``Fraction`` arithmetic.  They are
-``graev_norm`` and ``graev_metric`` (the same fill, no matching recovered),
-the brute force and the certificate search's candidate norms.  ``norm_dp``,
-which recovers a matching, still fills over ``Fraction`` costs: on integer
-costs it would run many times faster, and the benchmark, whose peak RSS
-grows with the ops a run completes, would read that as a memory regression
-until it samples RSS apart from throughput.
+Every evaluator takes its costs from ``integer_costs``: the space scales
+every cost to an integer over one common denominator, bounded by
+``SCALE_DIGITS_MAX``, with no ``Fraction`` arithmetic.  Callers that need
+only a value fill over those integers: ``graev_norm`` and ``graev_metric``
+(the same fill, no matching recovered), the brute force and the certificate
+search's candidate norms.  ``norm_dp``, which recovers a matching, turns
+each distinct integer cost into one ``Fraction`` over the scale and fills
+over those, the same exact rationals, so values and matchings do not
+depend on the scale.  Its fill over the integers would run many times
+faster, and the benchmark, whose peak RSS grows with the ops a run
+completes, would read that as a memory regression until it samples RSS
+apart from throughput.
 """
 
 from __future__ import annotations
@@ -221,9 +224,10 @@ def integer_costs(
 
     ``fix[j]`` is d~(x_j, e) and ``pair[t][j]`` is d~(x_t, x_j^-1) for every
     t and j, the diagonal d~(x, x^-1) included, each multiplied by
-    ``scale``, the space's ``cost_scale``.  The space computes them, with no
-    ``Fraction`` arithmetic, once per distinct letter and pair of distinct
-    letters.
+    ``scale``, the common denominator the space picks.  The space computes
+    them, with no ``Fraction`` arithmetic, once per distinct letter and pair
+    of distinct letters, and rejects a point outside it or a scale over
+    ``SCALE_DIGITS_MAX``.
     """
     index: dict[tuple, int] = {}
     at = [index.setdefault((x.point, x.sign), len(index)) for x in letters]
@@ -266,16 +270,9 @@ def norm_dp(w: Word, space: Space) -> tuple[Fraction, SigmaMatching]:
     k = len(w)
     if k == 0:
         return Fraction(0), SigmaMatching(0, ())
-    dist, base = space.signed_dist, space.base
-    signed = [(x.point, x.sign) for x in w.letters]
-    space.cost_scale([p for p, _ in signed])  # the limit on the scale, as for integer costs
-    fix = [dist(p, s, base, 1) for p, s in signed]
-    # interval_fill reads pair[t][j] for t < j only; the rest is padding
-    pair = [
-        [None] * (t + 1) + [dist(p, s, q, -r) for q, r in signed[t + 1 :]]
-        for t, (p, s) in enumerate(signed)
-    ]
-    value, back = interval_fill(fix, pair, Fraction(0))
+    fix, pair, scale = integer_costs(w.letters, space)
+    exact = {c: Fraction(c, scale) for c in set().union(fix, *pair)}
+    value, back = interval_fill([exact[c] for c in fix], [[exact[c] for c in row] for row in pair])
 
     image = list(range(1, k + 1))
     stack = [(0, k - 1)]
@@ -293,9 +290,7 @@ def norm_dp(w: Word, space: Space) -> tuple[Fraction, SigmaMatching]:
     return value, SigmaMatching(k, tuple(image))
 
 
-def interval_fill(
-    fix: Sequence[Num], pair: Sequence[Sequence[Num]], zero: Num
-) -> tuple[Num, list[list[int]]]:
+def interval_fill(fix: Sequence[Num], pair: Sequence[Sequence[Num]]) -> tuple[Num, list[list[int]]]:
     """The interval DP of ``norm_dp`` over given costs of any exact number type.
 
     ``fix[j]`` is the cost of leaving position j unmatched and ``pair[t][j]``
@@ -303,7 +298,8 @@ def interval_fill(
     positions and the choice table: ``back[i][j]`` is -1 when x_j stays
     unmatched in the optimum of positions i..j, else the position t it is
     matched with.  The cost table is padded, ``cost[i][j + 1]`` holding
-    C(i, j), so the empty range C(i, i - 1) is the ``zero`` at ``cost[i][i]``.
+    C(i, j), so the empty range C(i, i - 1) is the int 0 at ``cost[i][i]``;
+    an int plus a ``Fraction`` is the same ``Fraction``.
 
     The fill runs column by column, i going down from j, over an ascending
     list of the live splits t in (i, j), each stored with its part
@@ -321,11 +317,11 @@ def interval_fill(
     loses its row, since C(i, j-1) <= fix[i] + C(i+1, j-1).
     """
     k = len(fix)
-    cost = [[zero] * (k + 1) for _ in range(k + 1)]
+    cost = [[0] * (k + 1) for _ in range(k + 1)]
     back = [[-1] * k for _ in range(k)]
     for j in range(k):
         fj = fix[j]
-        cost[j][j + 1] = zero + fj
+        cost[j][j + 1] = fj
         live: list[tuple[int, Num]] = []
         for i in range(j - 1, -1, -1):
             row = cost[i]
@@ -348,7 +344,7 @@ def graev_norm(w: Word, space: Space) -> Fraction:
     """Canonical norm of the group element: evaluated on the reduced form, as
     a value alone, by the fill over ``integer_costs``."""
     fix, pair, scale = integer_costs(free_reduce(w, space.base).letters, space)
-    return Fraction(interval_fill(fix, pair, 0)[0], scale)
+    return Fraction(interval_fill(fix, pair)[0], scale)
 
 
 def graev_metric(u: Word, v: Word, space: Space) -> Fraction:

@@ -15,7 +15,10 @@ and either sign of e gives it.
 
 Each space also gives the norm's costs as integers, without ``Fraction``
 arithmetic, in ``integer_costs``, over a common denominator bounded by
-``graev.norm.SCALE_DIGITS_MAX``.
+``graev.norm.SCALE_DIGITS_MAX``: the lcm of the letters' denominators on
+the interval, found per call, and of the table's on a finite space, found
+once when it is built.  Every norm takes its costs from there, so it is
+also where a letter's point is checked to be in the space.
 
 Spaces are immutable after construction, hashable, and safe to share between
 concurrent norm computations.
@@ -92,19 +95,17 @@ class IntervalSpace(Value):
             raise ValueError(f"letter point {q!r} is not in the space")
         return abs(p - q) if sp == sq else p + q
 
-    def cost_scale(self, points: Sequence["Point"]) -> int:
-        """The lcm of the points' denominators, each checked to be in the space."""
+    def integer_costs(self, letters: Sequence[tuple["Point", int]]) -> tuple[list, list, int]:
+        """(fix, pair, scale) of distinct letters (point, sign): d~(x_t, e) and
+        d~(x_t, x_j^-1) times the scale, the lcm of the points' denominators,
+        |P - Q| or P + Q on P = p * scale.  Each point is checked to be in
+        the space, and then the scale against ``SCALE_DIGITS_MAX``."""
         scale = 1
-        for p in points:
+        for p, _ in letters:
             if not self.contains(p):
                 raise ValueError(f"letter point {p!r} is not in the space")
             scale = lcm(scale, p.denominator)
-        return check_scale(scale, "the letters'")
-
-    def integer_costs(self, letters: Sequence[tuple["Point", int]]) -> tuple[list, list, int]:
-        """(fix, pair, scale) of distinct letters (point, sign): d~(x_t, e) and
-        d~(x_t, x_j^-1) times ``cost_scale``, |P - Q| or P + Q on P = p * scale."""
-        scale = self.cost_scale([p for p, _ in letters])
+        scale = check_scale(scale, "the letters'")
         whole = [(p.numerator * (scale // p.denominator), s) for p, s in letters]
         pair = [[abs(a - b) if s != r else a + b for b, r in whole] for a, s in whole]
         return [a for a, _ in whole], pair, scale
@@ -157,12 +158,9 @@ class FiniteSpace(Value):
             bad = q if p in self.points else p
             raise ValueError(f"letter point {bad!r} is not in the space") from None
 
-    def cost_scale(self, points: Sequence[str]) -> int:
-        """The lcm of the table's denominators, whatever the points."""
-        return self.table_scale
-
     def integer_costs(self, letters: Sequence[tuple[str, int]]) -> tuple[list, list, int]:
-        """(fix, pair, scale) of distinct letters (point, sign), read from ``scaled``."""
+        """(fix, pair, scale) of distinct letters (point, sign), read from
+        ``scaled``; the scale is ``table_scale``, whatever the letters."""
         try:
             fix = [self.scaled[p, self.base][0] for p, _ in letters]
             pair = [[self.scaled[p, q][s == r] for q, r in letters] for p, s in letters]

@@ -481,6 +481,7 @@ def test_zero_built_in_space_rank_is_a_usage_error(capsys, argv):
         (("norm", "--space", "lemma32-m3", "e1 e1^-1 " * 128 + "e1"), "word"),
         (("metric", "--space", "lemma32-m3", "e1 " * 200, "e2 " * 57), "left and right words"),
         (("search", "--space", "lemma32-m3", "--c", "3", "e1 " * NORM_LENGTH_MAX + "e2"), "target"),
+        (("decompose", "--m", "3", "e1 e1^-1 " * 128 + "e1"), "word"),
     ],
 )
 def test_word_over_the_length_cap_is_a_usage_error(capsys, argv, what):
@@ -496,6 +497,7 @@ def test_words_at_the_length_cap_run(capsys):
     assert run_cli(capsys, "norm", "--space", "lemma32-m3", "e1 " * limit) == (0, f"{limit}\n", "")
     metric = run_cli(capsys, "metric", "--space", "lemma32-m3", "e1 " * half, "e2 " * half)
     assert metric == (0, f"{2 * half}\n", "")
+    assert run_cli(capsys, "decompose", "--m", "3", "e1 " * limit) == (1, "NONE\n", "")
 
 
 def _coprime_denominators():
@@ -596,6 +598,15 @@ def test_check_sigma_bad_input(capsys):
     code, _, err = run_cli(capsys, "check-sigma", "1 1")
     assert code == 2
     assert "permutation" in err
+
+
+def test_check_sigma_takes_at_most_the_length_cap_of_images(capsys):
+    limit = NORM_LENGTH_MAX
+    reversal = " ".join(str(i) for i in range(limit, 0, -1))
+    assert run_cli(capsys, "check-sigma", reversal) == (0, "true\n", "")
+    code, out, err = run_cli(capsys, "check-sigma", f"{limit + 1} {reversal}")
+    assert (code, out) == (2, "")
+    assert err == f"error: permutation: {limit + 1} images is above the limit of {limit}\n"
 
 
 def test_check_sigma_long_bad_input_is_clipped_in_the_error(capsys):

@@ -20,7 +20,7 @@ from graev.norm import (
     norm_dp,
     pair_cost,
 )
-from graev.spaces import INTERVAL, FiniteSpace, chain_space, star_space, tilde_dist
+from graev.spaces import INTERVAL, FiniteSpace, IntervalSpace, chain_space, star_space, tilde_dist
 from graev.suite import insert_cancelling_pairs, random_any_word, random_letter, random_reduced_word
 from graev.words import Letter, Word, conjugate, cyclic_shift, free_reduce, invert_word, parse_word
 
@@ -140,7 +140,7 @@ def _fill_corpus():
 
 def test_fill_equals_the_reference_fill():
     for fix, pair, zero in _fill_corpus():
-        assert interval_fill(fix, pair, zero) == _reference_fill(fix, pair, zero), (fix, pair)
+        assert interval_fill(fix, pair) == _reference_fill(fix, pair, zero), (fix, pair)
 
 
 def test_fill_weighs_only_splits_that_won_their_row():
@@ -163,20 +163,19 @@ def test_fill_weighs_only_splits_that_won_their_row():
         if not letters or letter != letters[-1].inverse():
             letters.append(letter)
     fix, pair, _ = integer_costs(letters, INTERVAL)
-    value, back = interval_fill(
-        [Counted(v) for v in fix], [[Counted(v) for v in row] for row in pair], Counted(0)
-    )
+    value, back = interval_fill([Counted(v) for v in fix], [[Counted(v) for v in row] for row in pair])
     assert (value, back) == _reference_fill(fix, pair, 0)
-    # 13855 with the row-winner rule; keeping every split t that passes
-    # pair[t][j] < fix[t] + fix[j], as the fill once did, makes 26204
-    assert adds <= 13855
+    # 13791 with the row-winner rule, C(j, j) = fix[j] taking none; keeping
+    # every split t that passes pair[t][j] < fix[t] + fix[j], as the fill
+    # once did, makes 26140
+    assert adds <= 13791
 
 
 def test_dp_recovers_the_reference_fill_matchings(monkeypatch):
     rng = random.Random(6160)
     words = [(space, random_any_word(rng, space, 40, base_prob=0.2)) for space in SPACES * 8]
     ours = [norm_dp(word, space) for space, word in words]
-    monkeypatch.setattr(graev.norm, "interval_fill", _reference_fill)
+    monkeypatch.setattr(graev.norm, "interval_fill", lambda fix, pair: _reference_fill(fix, pair, 0))
     assert ours == [norm_dp(word, space) for space, word in words]
 
 
@@ -329,6 +328,34 @@ def test_scale_limit_admits_exactly_its_digits():
     with pytest.raises(ValueError) as raised:
         check_scale(10**SCALE_DIGITS_MAX, "these")
     assert str(raised.value) == f"these common denominator is above the limit of {SCALE_DIGITS_MAX} digits"
+    # one interval letter whose denominator is the scale, in every norm
+    under, over = (Word((Letter(Fraction(1, q)),)) for q in (10**SCALE_DIGITS_MAX - 1, 10**SCALE_DIGITS_MAX))
+    for norm in (graev_norm, norm_bruteforce, lambda w, space: norm_dp(w, space)[0]):
+        assert norm(under, INTERVAL) == Fraction(1, 10**SCALE_DIGITS_MAX - 1)
+        with pytest.raises(ValueError) as raised:
+            norm(over, INTERVAL)
+        assert str(raised.value) == f"the letters' common denominator is above the limit of {SCALE_DIGITS_MAX} digits"
+
+
+def test_dp_takes_no_cost_from_signed_dist(monkeypatch):
+    rng = random.Random(4097)
+    spaces = (INTERVAL, STAR3, chain_space(4))
+    words = [(space, _seeded_word(rng, space, k)) for space in spaces for k in (1, 9, 24, 40)]
+    expected = []
+    for space, word in words:
+        fix = [fixed_cost(x, space) for x in word]
+        pair = [[pair_cost(x, y, space) for y in word] for x in word]
+        reference = _reference_fill(fix, pair, Fraction(0))
+        with monkeypatch.context() as patch:  # norm_dp's own recovery, over the reference fill
+            patch.setattr(graev.norm, "interval_fill", lambda fix, pair: reference)
+            expected.append(norm_dp(word, space))
+
+    def refuse(*args):
+        raise AssertionError("signed_dist called in norm_dp")
+
+    monkeypatch.setattr(IntervalSpace, "signed_dist", refuse)
+    monkeypatch.setattr(FiniteSpace, "signed_dist", refuse)
+    assert [norm_dp(word, space) for space, word in words] == expected
 
 
 def test_dp_equals_brute_force_randomized():
