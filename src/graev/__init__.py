@@ -50,7 +50,6 @@ _EXPORTS = {
         "INTERVAL",
         "FiniteSpace",
         "IntervalSpace",
-        "MetricViolation",
         "chain_space",
         "load_space",
         "resolve_space",

@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import neg
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .norm import check_length, graev_norm, integer_costs, interval_fill, norm_dp, pair_cost
+from .norm import check_length, graev_norm, integer_costs, interval_fill, norm_dp
 from .rationals import clip, parse_rational
 from .spaces import FiniteSpace, Space, json_int, json_list, json_str, star_space
 from .values import Value
@@ -45,6 +45,11 @@ if TYPE_CHECKING:
 # x^n has n * |x| letters: verifying a 256-letter base at n = 999 took 1.0 s
 # and 30 MB on a 2-core VM, and a far larger n exhausts memory
 POWER_EXPONENT_MAX = 999
+
+# nonempty reduced words a search may enumerate as candidate bases, since it
+# holds every word of one length at once: chain4 at length 7 (1 098 056
+# words) took 18 s and 178 MB peak RSS on a 2-core VM
+SEARCH_WORDS_MAX = 1_200_000
 
 
 def _check_odd_exponent(n: int) -> None:
@@ -84,9 +89,8 @@ def decompose_conjugates(w: Word, m: int) -> Optional[ConjugateDecomposition]:
     if value >= m:
         return None
 
-    zero_pairs = [
-        (i, j) for i, j in matching.pairs() if pair_cost(w[i - 1], w[j - 1], space) == 0
-    ]
+    _, costs, _ = integer_costs(w.letters, space)
+    zero_pairs = [(i, j) for i, j in matching.pairs() if costs[i - 1][j - 1] == 0]
     matched = {pos for pair in zero_pairs for pos in pair}
     unmatched = [pos for pos in range(1, len(w) + 1) if pos not in matched]
     if len(unmatched) != value:
@@ -204,6 +208,19 @@ def _invert(state: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(neg, reversed(state)))
 
 
+def _candidate_word_count(letters: int, max_length: int) -> int:
+    """The nonempty reduced words of at most ``max_length`` letters over a
+    signed alphabet of a = ``letters`` letters, a (a - 1)^(l - 1) of each
+    length l, summed until the sum passes ``SEARCH_WORDS_MAX``."""
+    total, words = 0, letters
+    for _ in range(max_length):
+        total += words
+        if total > SEARCH_WORDS_MAX:
+            break
+        words *= letters - 1
+    return total
+
+
 def _candidate_bases(
     code: dict[Point, int], c: Fraction, max_base_length: int, space: Space
 ) -> list[Word]:
@@ -277,6 +294,11 @@ def search_power_certificate(
     code = {p: i for i, p in enumerate(_candidate_points(w, space), 1)}
     if any(letter.point not in code for letter in target):
         return None  # products of candidate powers never leave the alphabet
+    if _candidate_word_count(2 * len(code), max_base_length) > SEARCH_WORDS_MAX:
+        raise ValueError(
+            f"base length {clip(str(max_base_length))} over {2 * len(code)} signed letters is above "
+            f"the limit of {SEARCH_WORDS_MAX} candidate words"
+        )
     goal = _encode(target, code)
     candidates = _candidate_bases(code, c, max_base_length, space)
     powers = []

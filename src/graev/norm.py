@@ -22,18 +22,18 @@ distance to the base point.  Two evaluators are provided:
 The two must agree exactly on every input; that equivalence is an oracle
 check in the test suite, not an assumption here.
 
-Every evaluator takes its costs from ``integer_costs``: the space scales
-every cost to an integer over one common denominator, bounded by
-``SCALE_DIGITS_MAX``, with no ``Fraction`` arithmetic.  Callers that need
-only a value fill over those integers: ``graev_norm`` and ``graev_metric``
-(the same fill, no matching recovered), the brute force and the certificate
-search's candidate norms.  ``norm_dp``, which recovers a matching, turns
-each distinct integer cost into one ``Fraction`` over the scale and fills
-over those, the same exact rationals, so values and matchings do not
-depend on the scale.  Its fill over the integers would run many times
-faster, and the benchmark, whose peak RSS grows with the ops a run
-completes, would read that as a memory regression until it samples RSS
-apart from throughput.
+Every evaluator takes its costs from ``integer_costs``, the one place d~ is
+computed: the space scales every cost to an integer over one common
+denominator, bounded by ``graev.spaces.SCALE_DIGITS_MAX``, with no
+``Fraction`` arithmetic.  Callers that need only a value fill over those
+integers: ``graev_norm`` and ``graev_metric`` (the same fill, no matching
+recovered), the brute force and the certificate search's candidate norms.
+``norm_dp``, which recovers a matching, turns each distinct integer cost
+into one ``Fraction`` over the scale and fills over those, the same exact
+rationals, so values and matchings do not depend on the scale.  Its fill
+over the integers would run many times faster, and the benchmark, whose
+peak RSS grows with the ops a run completes, would read that as a memory
+regression until it samples RSS apart from throughput.
 """
 
 from __future__ import annotations
@@ -57,15 +57,6 @@ BRUTE_FORCE_MAX = 10
 # cap, 256 letters with distinct prime denominators, took 5-8 s and 30 MB in
 # one process on a 2-core VM
 NORM_LENGTH_MAX = 256
-
-# digits of the common denominator a norm's costs are scaled to: the lcm of
-# the letters' denominators on the interval, of the distance table's on a
-# finite space.  Any one rational (at most 1000 digits) fits, and a value's
-# numerator has at most 1003 digits more, so every value prints.  At the
-# length cap, 256 interval letters with distinct prime denominators (an lcm
-# of 1002 digits) took 11.5 s in norm_dp and 0.3 s as a value alone on a
-# 2-core VM; with an lcm of 2561 digits norm_dp took 31 s
-SCALE_DIGITS_MAX = 1000
 
 Num = TypeVar("Num")  # an exact number type: Fraction or int
 
@@ -195,25 +186,6 @@ def check_length(what: str, *texts: str) -> None:
     letters = sum(len(text.split()) for text in texts)
     if letters > NORM_LENGTH_MAX:
         raise ValueError(f"{what}: {letters} letters is above the limit of {NORM_LENGTH_MAX}")
-
-
-def check_scale(scale: int, what: str) -> int:
-    """``scale``, the common denominator of ``what`` costs, unless it has
-    more than ``SCALE_DIGITS_MAX`` digits."""
-    # 10^d has more than 3d bits, so a shorter scale needs no comparison
-    if scale.bit_length() > 3 * SCALE_DIGITS_MAX and scale >= 10**SCALE_DIGITS_MAX:
-        raise ValueError(f"{what} common denominator is above the limit of {SCALE_DIGITS_MAX} digits")
-    return scale
-
-
-def fixed_cost(letter: Letter, space: Space) -> Fraction:
-    """Cost of leaving a position unmatched: d~(x, e) = d~(x, x^-1)/2."""
-    return space.signed_dist(letter.point, letter.sign, space.base, 1)
-
-
-def pair_cost(a: Letter, b: Letter, space: Space) -> Fraction:
-    """Cost of matching two positions: d~(x_t, x_j^-1)."""
-    return space.signed_dist(a.point, a.sign, b.point, -b.sign)
 
 
 def integer_costs(

@@ -5,20 +5,19 @@ nonnegative rationals over named points (one of which is the base point); the
 interval space is the rational segment [0, 1] with base point 0 and
 d(x, y) = |x - y|.
 
-``tilde_dist`` extends the point metric to signed letters: d~ is d(x, y) for
-equal signs and d(x, e) + d(e, y) for opposite signs.  Each space computes
-it in ``signed_dist(p, sp, q, sq)``.  The interval returns |p - q| or p + q,
-since d(p, 0) + d(0, q) = p + q on [0, 1]; a finite space looks both up in a
-signed table built once from its distances.  The base letter needs no
-branch: d(e, e) = 0, so d(e, y) and d(e, e) + d(e, y) are the same value
-and either sign of e gives it.
-
-Each space also gives the norm's costs as integers, without ``Fraction``
-arithmetic, in ``integer_costs``, over a common denominator bounded by
-``graev.norm.SCALE_DIGITS_MAX``: the lcm of the letters' denominators on
-the interval, found per call, and of the table's on a finite space, found
-once when it is built.  Every norm takes its costs from there, so it is
-also where a letter's point is checked to be in the space.
+The point metric extends to signed letters: d~ is d(x, y) for equal signs
+and d(x, e) + d(e, y) for opposite signs.  Each space computes d~ in one
+place, ``integer_costs``: the costs of a list of signed letters as integers
+over a common denominator bounded by ``SCALE_DIGITS_MAX``, with no
+``Fraction`` arithmetic.  The interval scales by the lcm of the letters'
+denominators, found per call, and returns |P - Q| or P + Q on
+P = p * scale, since d(p, 0) + d(0, q) = p + q on [0, 1]; a finite space
+scales by the lcm of its table's denominators and looks both up in a signed
+table built once from its distances.  The base letter needs no branch:
+d(e, e) = 0, so d(e, y) and d(e, e) + d(e, y) are the same value and either
+sign of e gives it.  Every norm takes its costs from there, so it is also
+where a letter's point is checked to be in the space; ``tilde_dist`` is the
+one ``Fraction`` view of it, for a single pair of letters.
 
 Spaces are immutable after construction, hashable, and safe to share between
 concurrent norm computations.
@@ -33,7 +32,6 @@ from functools import lru_cache
 from math import lcm
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
-from .norm import check_scale
 from .rationals import clip, parse_rational
 from .values import Value
 
@@ -44,16 +42,23 @@ if TYPE_CHECKING:
 # checks (m+1)^3 triangles (about 0.8 s at m = 64), so their rank is capped
 SPACE_RANK_MAX = 64
 
+# digits of the common denominator a norm's costs are scaled to: the lcm of
+# the letters' denominators on the interval, of the distance table's on a
+# finite space.  Any one rational (at most 1000 digits) fits, and a value's
+# numerator has at most 1003 digits more, so every value prints.  At the
+# length cap, 256 interval letters with distinct prime denominators (an lcm
+# of 1002 digits) took 11.5 s in norm_dp and 0.3 s as a value alone on a
+# 2-core VM; with an lcm of 2561 digits norm_dp took 31 s
+SCALE_DIGITS_MAX = 1000
 
-class MetricViolation(Value):
-    __slots__ = _fields = ("axiom", "points")
 
-    def __init__(self, axiom: str, points: tuple[str, ...]) -> None:
-        object.__setattr__(self, "axiom", axiom)
-        object.__setattr__(self, "points", points)
-
-    def __str__(self) -> str:
-        return f"{self.axiom} violated at ({', '.join(self.points)})"
+def check_scale(scale: int, what: str) -> int:
+    """``scale``, the common denominator of ``what`` costs, unless it has
+    more than ``SCALE_DIGITS_MAX`` digits."""
+    # 10^d has more than 3d bits, so a shorter scale needs no comparison
+    if scale.bit_length() > 3 * SCALE_DIGITS_MAX and scale >= 10**SCALE_DIGITS_MAX:
+        raise ValueError(f"{what} common denominator is above the limit of {SCALE_DIGITS_MAX} digits")
+    return scale
 
 
 class FrozenTable(dict):
@@ -87,16 +92,8 @@ class IntervalSpace(Value):
     def dist(self, a: Fraction, b: Fraction) -> Fraction:
         return abs(a - b)
 
-    def signed_dist(self, p: Fraction, sp: int, q: Fraction, sq: int) -> Fraction:
-        """d~ between the letters p^sp and q^sq."""
-        if not self.contains(p):
-            raise ValueError(f"letter point {p!r} is not in the space")
-        if not self.contains(q):
-            raise ValueError(f"letter point {q!r} is not in the space")
-        return abs(p - q) if sp == sq else p + q
-
     def integer_costs(self, letters: Sequence[tuple["Point", int]]) -> tuple[list, list, int]:
-        """(fix, pair, scale) of distinct letters (point, sign): d~(x_t, e) and
+        """(fix, pair, scale) of letters (point, sign): d~(x_t, e) and
         d~(x_t, x_j^-1) times the scale, the lcm of the points' denominators,
         |P - Q| or P + Q on P = p * scale.  Each point is checked to be in
         the space, and then the scale against ``SCALE_DIGITS_MAX``."""
@@ -112,11 +109,11 @@ class IntervalSpace(Value):
 
 
 class FiniteSpace(Value):
-    # ``signed`` maps (a, b) to (d~ for equal signs, d~ for opposite signs),
-    # ``scaled`` to both times ``table_scale``, the lcm of the table's
-    # denominators; derived from the table, they are no fields: they take no
-    # part in equality, hashing or the repr
-    __slots__ = ("base", "points", "table", "signed", "scaled", "table_scale")
+    # ``scaled`` maps (a, b) to (d~ for equal signs, d~ for opposite signs)
+    # times ``table_scale``, the lcm of the table's denominators; derived
+    # from the table, they are no fields: they take no part in equality,
+    # hashing or the repr
+    __slots__ = ("base", "points", "table", "scaled", "table_scale")
     _fields = ("base", "points", "table")
 
     kind = "finite"
@@ -125,14 +122,12 @@ class FiniteSpace(Value):
         self, base: str, points: tuple[str, ...], table: Mapping[tuple[str, str], Fraction]
     ) -> None:
         table = FrozenTable(table)
-        signed = {(a, b): (d, table[a, base] + table[base, b]) for (a, b), d in table.items()}
         scale = check_scale(lcm(*(d.denominator for d in table.values())), "the space's")
-        scaled = {key: (d.numerator * (scale // d.denominator), o.numerator * (scale // o.denominator))
-                  for key, (d, o) in signed.items()}
+        whole = {key: d.numerator * (scale // d.denominator) for key, d in table.items()}
+        scaled = {(a, b): (d, whole[a, base] + whole[base, b]) for (a, b), d in whole.items()}
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "signed", signed)
         object.__setattr__(self, "scaled", scaled)
         object.__setattr__(self, "table_scale", scale)
 
@@ -150,16 +145,8 @@ class FiniteSpace(Value):
         except KeyError:
             raise ValueError(f"no distance for pair ({a}, {b})") from None
 
-    def signed_dist(self, p: str, sp: int, q: str, sq: int) -> Fraction:
-        """d~ between the letters p^sp and q^sq."""
-        try:
-            return self.signed[p, q][sp != sq]
-        except (KeyError, TypeError):
-            bad = q if p in self.points else p
-            raise ValueError(f"letter point {bad!r} is not in the space") from None
-
     def integer_costs(self, letters: Sequence[tuple[str, int]]) -> tuple[list, list, int]:
-        """(fix, pair, scale) of distinct letters (point, sign), read from
+        """(fix, pair, scale) of letters (point, sign), read from
         ``scaled``; the scale is ``table_scale``, whatever the letters."""
         try:
             fix = [self.scaled[p, self.base][0] for p, _ in letters]
@@ -204,8 +191,9 @@ Space = Union[IntervalSpace, FiniteSpace]
 INTERVAL = IntervalSpace()
 
 
-def validate_metric(space: Space) -> Optional[MetricViolation]:
-    """None when all metric axioms hold, else a report naming the violation.
+def validate_metric(space: Space) -> Optional[str]:
+    """None when all metric axioms hold, else the violation, as
+    ``<axiom> violated at (<points>)``.
 
     The interval space satisfies the axioms by construction.  Finite tables
     are checked exhaustively: nonnegativity, d(a,b) = 0 iff a = b, symmetry,
@@ -216,18 +204,18 @@ def validate_metric(space: Space) -> Optional[MetricViolation]:
     pts = space.points
     for a in pts:
         if space.table[(a, a)] != 0:
-            return MetricViolation("identity", (a, a))
+            return f"identity violated at ({a}, {a})"
     for a, b in itertools.combinations(pts, 2):
         d = space.table[(a, b)]
         if d < 0:
-            return MetricViolation("nonnegativity", (a, b))
+            return f"nonnegativity violated at ({a}, {b})"
         if d == 0:
-            return MetricViolation("identity", (a, b))
+            return f"identity violated at ({a}, {b})"
         if d != space.table[(b, a)]:
-            return MetricViolation("symmetry", (a, b))
+            return f"symmetry violated at ({a}, {b})"
     for a, via, b in itertools.permutations(pts, 3):
         if space.table[(a, b)] > space.table[(a, via)] + space.table[(via, b)]:
-            return MetricViolation("triangle", (a, via, b))
+            return f"triangle violated at ({a}, {via}, {b})"
     return None
 
 
@@ -236,9 +224,11 @@ def tilde_dist(a: "Letter", b: "Letter", space: Space) -> Fraction:
 
     Same signs look up the point distance directly; opposite signs route
     through the base point: d(x, e) + d(e, y).  The base-point letter is
-    sign-insensitive.
+    sign-insensitive.  It is the space's ``integer_costs`` pair cost of a
+    and b^-1 over its scale.
     """
-    return space.signed_dist(a.point, a.sign, b.point, b.sign)
+    _, pair, scale = space.integer_costs(((a.point, a.sign), (b.point, -b.sign)))
+    return Fraction(pair[0][1], scale)
 
 
 def _check_rank(kind: str, m: int) -> None:

@@ -41,16 +41,15 @@ from .maps import (
 )
 from .norm import (
     enumerate_sigma,
-    fixed_cost,
     graev_metric,
     graev_norm,
+    integer_costs,
     is_sigma,
     noncrossing_involutions,
     norm_bruteforce,
     norm_dp,
-    pair_cost,
 )
-from .spaces import INTERVAL, FiniteSpace, Space, chain_space, star_space, tilde_dist
+from .spaces import INTERVAL, FiniteSpace, Space, chain_space, star_space
 from .words import (
     Letter,
     Word,
@@ -285,20 +284,28 @@ def words_suite(seed: int, cases: int) -> list[PropertyResult]:
     ]
 
 
+def _tilde_table(letters: Sequence[Letter], space: Space) -> tuple[list[list[int]], int]:
+    """d~ between every two of ``letters``, from one ``integer_costs`` call
+    over them and their inverses: (table, scale), ``table[s][t]`` being
+    d~(x_s, x_t) times the scale."""
+    k = len(letters)
+    _, pair, scale = integer_costs([*letters, *(x.inverse() for x in letters)], space)
+    return [row[k:] for row in pair[:k]], scale
+
+
 def spaces_suite(seed: int, cases: int) -> list[PropertyResult]:
     def finite_outcomes():
         for space in (star_space(2), star_space(3), chain_space(3)):
             letters = signed_alphabet(space.points)
-            for a in letters:
-                for b in letters:
-                    dab = tilde_dist(a, b, space)
+            d, _ = _tilde_table(letters, space)
+            for s, a in enumerate(letters):
+                for t, b in enumerate(letters):
+                    dab = d[s][t]
                     same = a.point == b.point and (
                         a.sign == b.sign or a.point == space.base
                     )
-                    ok = dab >= 0 and (dab == 0) == same and dab == tilde_dist(b, a, space)
-                    if ok and all(
-                        dab <= tilde_dist(a, c, space) + tilde_dist(c, b, space) for c in letters
-                    ):
+                    ok = dab >= 0 and (dab == 0) == same and dab == d[t][s]
+                    if ok and all(dab <= d[s][u] + d[u][t] for u in range(len(letters))):
                         yield None
                     else:
                         yield f"axiom broke at ({format_word(Word((a,)))}, {format_word(Word((b,)))})"
@@ -306,25 +313,26 @@ def spaces_suite(seed: int, cases: int) -> list[PropertyResult]:
     def interval_check(rng, _):
         letters = [random_letter(rng, INTERVAL, allow_base=True) for _ in range(3)]
         a, b, c = letters
-        dab = tilde_dist(a, b, INTERVAL)
-        if dab != tilde_dist(b, a, INTERVAL):
+        d, _ = _tilde_table(letters, INTERVAL)
+        if d[0][1] != d[1][0]:
             return f"asymmetry at {a}, {b}"
-        if dab > tilde_dist(a, c, INTERVAL) + tilde_dist(c, b, INTERVAL):
+        if d[0][1] > d[0][2] + d[2][1]:
             return f"triangle broke at {a}, {b} via {c}"
         same = a.point == b.point and (a.sign == b.sign or a.point == INTERVAL.base)
-        if (dab == 0) != same:
+        if (d[0][1] == 0) != same:
             return f"identity axiom broke at {a}, {b}"
         return None
 
     def sign_rules_check(rng, space):
         a = random_letter(rng, space, allow_base=True)
         b = random_letter(rng, space, allow_base=True)
-        if tilde_dist(a, b, space) != tilde_dist(a.inverse(), b.inverse(), space):
+        # a, b, their inverses and their positive letters
+        d, scale = _tilde_table((a, b, a.inverse(), b.inverse(), Letter(a.point), Letter(b.point)), space)
+        if d[0][1] != d[2][3]:
             return f"sign-flip symmetry broke at {a}, {b}"
-        if tilde_dist(a, a.inverse(), space) != 2 * space.dist(a.point, space.base):
+        if Fraction(d[0][2], scale) != 2 * space.dist(a.point, space.base):
             return f"opposite-sign distance is not 2*d(p, e) at {a}"
-        pos_a, pos_b = Letter(a.point), Letter(b.point)
-        if tilde_dist(pos_a, pos_b, space) != space.dist(a.point, b.point):
+        if Fraction(d[4][5], scale) != space.dist(a.point, b.point):
             return f"positive restriction differs from d at {a}, {b}"
         return None
 
@@ -370,9 +378,9 @@ def oracle_suite(seed: int, cases: int) -> list[PropertyResult]:
         value, matching = norm_dp(w, space)
         if len(w) and not is_sigma(matching.map):
             return f"dp matching not in the class on '{format_word(w)}'"
-        recomputed = sum(
-            pair_cost(w[i - 1], w[j - 1], space) for i, j in matching.pairs()
-        ) + sum(fixed_cost(w[i - 1], space) for i in matching.fixed())
+        fix, pair, scale = integer_costs(w.letters, space)
+        paid = sum(pair[i - 1][j - 1] for i, j in matching.pairs()) + sum(fix[i - 1] for i in matching.fixed())
+        recomputed = Fraction(paid, scale)
         if recomputed != value:
             return f"matching cost {recomputed} /= value {value} on '{format_word(w)}'"
         return None
@@ -440,7 +448,8 @@ def norm_suite(seed: int, cases: int) -> list[PropertyResult]:
 
     def upper_bound_check(rng, space):
         w = random_any_word(rng, space, 8)
-        bound = sum((fixed_cost(letter, space) for letter in w), Fraction(0))
+        fix, _, scale = integer_costs(w.letters, space)
+        bound = Fraction(sum(fix), scale)
         if norm_dp(w, space)[0] > bound:
             return f"norm above the letter-sum bound on '{format_word(w)}'"
         return None

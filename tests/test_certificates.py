@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -467,6 +468,33 @@ def test_search_rejects_negative_budgets():
     with pytest.raises(ValueError, match="non-negative"):
         search_power_certificate(target, Fraction(2), 3, 1, -3, STAR2)
     assert search_power_certificate(target, Fraction(2), 3, 0, 0, STAR2) is None
+
+
+def test_candidate_word_count_is_the_enumerated_word_count():
+    for points in range(1, 4):
+        alphabet = signed_alphabet([f"e{i}" for i in range(1, points + 1)])
+        for length in range(6):
+            words = sum(1 for w in enumerate_reduced_words(alphabet, length) if len(w))
+            assert certificates._candidate_word_count(len(alphabet), length) == words, (points, length)
+
+
+def test_search_refuses_budgets_over_the_candidate_word_limit():
+    # star3 at length 8, star5 at 6 and chain4 at 7 stay allowed; star3 at 9
+    # and beyond is refused before any word is enumerated
+    limit = certificates.SEARCH_WORDS_MAX
+    allowed = [certificates._candidate_word_count(a, length) for a, length in ((6, 8), (10, 6), (8, 7))]
+    assert allowed == [585936, 664300, 1098056] and max(allowed) <= limit
+    assert certificates._candidate_word_count(6, 9) > limit
+    # over one interval point every length adds only 2 words
+    cases = [(STAR3, "e1 e2", length, 6) for length in (9, 12, 10**30)] + [(INTERVAL, "1/2", 10**12, 2)]
+    for space, target, length, letters in cases:
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as raised:
+            search_power_certificate(parse_word(target, space), Fraction(2), 3, 3, length, space)
+        assert time.perf_counter() - start < 1
+        assert str(raised.value) == (
+            f"base length {length} over {letters} signed letters is above the limit of {limit} candidate words"
+        )
 
 
 def test_exponent_sum_examples():

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from graev.certificates import SEARCH_WORDS_MAX
 from graev.cli import NORM_LENGTH_MAX, main
-from graev.norm import SCALE_DIGITS_MAX
 from graev.rationals import RATIONAL_DIGITS_MAX, clip
-from graev.spaces import SPACE_RANK_MAX
+from graev.spaces import SCALE_DIGITS_MAX, SPACE_RANK_MAX
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -224,6 +224,16 @@ def test_search_rejects_negative_budgets(capsys):
         assert (code, out) == (2, "")
         assert err.startswith("error: search budgets must be non-negative")
         assert err.count("\n") == 1
+
+
+def test_search_refuses_an_enumeration_over_the_candidate_word_limit(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "search", "--space", "lemma32-m3", "e1 e2", "--c", "2", "--budget-length", "12"
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: base length 12 over 6 signed letters is above the limit of {SEARCH_WORDS_MAX} candidate words\n"
 
 
 def test_search_accepts_zero_budgets(capsys):
@@ -729,7 +739,7 @@ def test_help_still_prints_the_usage(capsys):
 def test_every_exported_name_resolves():
     import graev
 
-    assert len(graev.__all__) == len(set(graev.__all__)) == 46
+    assert len(graev.__all__) == len(set(graev.__all__)) == 45
     for name in graev.__all__:
         value = getattr(graev, name)
         module = importlib.import_module(f"graev.{graev._MODULE_OF[name]}")

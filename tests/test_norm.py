@@ -7,10 +7,7 @@ import pytest
 import graev.norm
 from graev.norm import (
     BRUTE_FORCE_MAX,
-    SCALE_DIGITS_MAX,
-    check_scale,
     enumerate_sigma,
-    fixed_cost,
     graev_metric,
     graev_norm,
     integer_costs,
@@ -18,9 +15,16 @@ from graev.norm import (
     matching_to_json,
     norm_bruteforce,
     norm_dp,
-    pair_cost,
 )
-from graev.spaces import INTERVAL, FiniteSpace, IntervalSpace, chain_space, star_space, tilde_dist
+from graev.spaces import (
+    INTERVAL,
+    SCALE_DIGITS_MAX,
+    FiniteSpace,
+    chain_space,
+    check_scale,
+    star_space,
+    tilde_dist,
+)
 from graev.suite import insert_cancelling_pairs, random_any_word, random_letter, random_reduced_word
 from graev.words import Letter, Word, conjugate, cyclic_shift, free_reduce, invert_word, parse_word
 
@@ -50,6 +54,14 @@ def _reference_bruteforce(w: Word, space) -> Fraction:
         sum(cost[i][matching.map[i] - 1] for i in range(k)) for matching in enumerate_sigma(k)
     )
     return best / 2
+
+
+def _fraction_costs(word, space):
+    """The fix and pair costs of a word as ``Fraction``s, one ``tilde_dist``
+    each: d~(x, e) and d~(x_t, x_j^-1)."""
+    fix = [tilde_dist(x, Letter(space.base), space) for x in word]
+    pair = [[tilde_dist(x, y.inverse(), space) for y in word] for x in word]
+    return fix, pair
 
 
 def _seeded_word(rng, space, k):
@@ -121,10 +133,7 @@ def _fill_corpus():
     rng = random.Random(5150)
     for space in FIVE_SPACES:
         for k in [*range(21), 25, 30, 35, 40]:
-            word = _seeded_word(rng, space, k)
-            fix = [fixed_cost(x, space) for x in word]
-            pair = [[pair_cost(x, y, space) for y in word] for x in word]
-            yield fix, pair, Fraction(0)
+            yield (*_fraction_costs(_seeded_word(rng, space, k), space), Fraction(0))
     for _ in range(500):
         k = rng.randint(0, 12)
         fix = [rng.randint(0, 2) for _ in range(k)]
@@ -257,17 +266,16 @@ def test_integer_costs_cover_pair_only_denominators():
     # the diagonal d~(x, x^-1) = 2 d~(x, e); a b^-1 b^-1 pays d(a, b) = 2/3
     assert [pair[i][i] for i in range(3)] == [6, 6, 6]
     assert pair[0][1] == pair[1][0] == 2 and pair[0][2] == 6
-    for t, x in enumerate(letters):
-        assert fix[t] == 3 * fixed_cost(x, TRIANGLE)
-        assert pair[t] == [3 * pair_cost(x, y, TRIANGLE) for y in letters]
+    ref_fix, ref_pair = _fraction_costs(letters, TRIANGLE)
+    assert fix == [3 * v for v in ref_fix] and pair == [[3 * v for v in row] for row in ref_pair]
 
 
 def _reference_costs(letters, space):
-    """The Fraction cost build that ``integer_costs`` replaced, kept verbatim."""
+    """The Fraction cost build that ``integer_costs`` replaced, one
+    ``tilde_dist`` per cost of distinct letters."""
     index: dict[Letter, int] = {}
     at = [index.setdefault(x, len(index)) for x in letters]
-    fix = [fixed_cost(x, space) for x in index]
-    pair = [[pair_cost(x, y, space) for y in index] for x in index]
+    fix, pair = _fraction_costs(list(index), space)
     scale = lcm(*(v.denominator for v in fix), *(v.denominator for row in pair for v in row))
     fix = [v.numerator * (scale // v.denominator) for v in fix]
     pair = [[v.numerator * (scale // v.denominator) for v in row] for row in pair]
@@ -335,27 +343,6 @@ def test_scale_limit_admits_exactly_its_digits():
         with pytest.raises(ValueError) as raised:
             norm(over, INTERVAL)
         assert str(raised.value) == f"the letters' common denominator is above the limit of {SCALE_DIGITS_MAX} digits"
-
-
-def test_dp_takes_no_cost_from_signed_dist(monkeypatch):
-    rng = random.Random(4097)
-    spaces = (INTERVAL, STAR3, chain_space(4))
-    words = [(space, _seeded_word(rng, space, k)) for space in spaces for k in (1, 9, 24, 40)]
-    expected = []
-    for space, word in words:
-        fix = [fixed_cost(x, space) for x in word]
-        pair = [[pair_cost(x, y, space) for y in word] for x in word]
-        reference = _reference_fill(fix, pair, Fraction(0))
-        with monkeypatch.context() as patch:  # norm_dp's own recovery, over the reference fill
-            patch.setattr(graev.norm, "interval_fill", lambda fix, pair: reference)
-            expected.append(norm_dp(word, space))
-
-    def refuse(*args):
-        raise AssertionError("signed_dist called in norm_dp")
-
-    monkeypatch.setattr(IntervalSpace, "signed_dist", refuse)
-    monkeypatch.setattr(FiniteSpace, "signed_dist", refuse)
-    assert [norm_dp(word, space) for space, word in words] == expected
 
 
 def test_dp_equals_brute_force_randomized():
@@ -442,27 +429,28 @@ def test_identity_matching_upper_bound():
 
 
 def test_pair_cost_is_orientation_free():
-    # d~(x_t, x_j^-1) = d~(x_j, x_t^-1), so one pair term stands for both
+    # d~(x_t, x_j^-1) = d~(x_j, x_t^-1), so one pair term stands for both:
+    # the pair table of ``integer_costs`` is symmetric
     rng = random.Random(55)
-    from graev.suite import random_letter
 
     for index in range(300):
         space = SPACES[index % len(SPACES)]
         a = random_letter(rng, space, allow_base=True)
         b = random_letter(rng, space, allow_base=True)
-        assert pair_cost(a, b, space) == pair_cost(b, a, space)
+        _, pair, _ = integer_costs([a, b], space)
+        assert pair[0][1] == pair[1][0]
 
 
 def test_fixed_cost_is_half_the_distance_to_the_inverse():
-    # d~(x, e) = d~(x, x^-1) / 2, the price of an unmatched position
+    # d~(x, e) = d~(x, x^-1) / 2, the price of an unmatched position: the
+    # diagonal of the pair table of ``integer_costs`` is twice the fix cost
     rng = random.Random(56)
-    from graev.spaces import tilde_dist
-    from graev.suite import random_letter
 
     for index in range(300):
         space = SPACES[index % len(SPACES)]
         a = random_letter(rng, space, allow_base=True)
-        assert fixed_cost(a, space) == tilde_dist(a, a.inverse(), space) / 2
+        fix, pair, _ = integer_costs([a], space)
+        assert pair[0][0] == 2 * fix[0]
 
 
 def test_matching_json_schema_and_roundtrip():

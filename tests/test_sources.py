@@ -76,6 +76,21 @@ def _names_a_space_class(node: ast.AST) -> bool:
 
 
 def test_norm_names_no_space_class():
-    # each space computes its own costs (signed_dist, integer_costs), so the
-    # norm never branches on which kind of space it has
+    # each space computes its own costs (integer_costs), so the norm never
+    # branches on which kind of space it has
     assert [where for where in _found(_names_a_space_class) if where.startswith("norm.py:")] == []
+
+
+def test_spaces_compute_costs_only_in_integer_costs():
+    # d~ has one kernel: each space's integer_costs, which every norm and
+    # tilde_dist read, so no space class has another cost method
+    tree = ast.parse((SRC / "spaces.py").read_text(encoding="utf-8"))
+    methods = {
+        node.name: sorted(item.name for item in node.body if isinstance(item, ast.FunctionDef))
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in ("IntervalSpace", "FiniteSpace")
+    }
+    assert methods == {
+        "IntervalSpace": ["contains", "dist", "integer_costs"],
+        "FiniteSpace": ["__init__", "contains", "dist", "from_table", "generators", "integer_costs"],
+    }

@@ -28,7 +28,7 @@ TRIANGLE = FiniteSpace.from_table(
 
 
 def _reference_tilde_dist(a, b, space):
-    """The ``tilde_dist`` that each space's ``signed_dist`` replaced, kept verbatim."""
+    """The ``tilde_dist`` that each space's ``integer_costs`` replaced, kept verbatim."""
     pa, pb = a.point, b.point
     if not space.contains(pa):
         raise ValueError(f"letter point {pa!r} is not in the space")
@@ -72,16 +72,12 @@ def test_triangle_violation_is_reported():
         ("e", "a", "b"),
         {("a", "b"): Fraction(5), ("a", "e"): Fraction(1), ("e", "b"): Fraction(1)},
     )
-    violation = validate_metric(bad)
-    assert violation is not None
-    assert violation.axiom == "triangle"
-    assert violation.points == ("a", "e", "b")
+    assert validate_metric(bad) == "triangle violated at (a, e, b)"
 
 
 def test_zero_distance_between_distinct_points_is_reported():
     bad = _unchecked_space("e", ("e", "a"), {("e", "a"): Fraction(0)})
-    violation = validate_metric(bad)
-    assert violation is not None and violation.axiom == "identity"
+    assert validate_metric(bad) == "identity violated at (e, a)"
 
 
 def test_from_table_validates_by_default():
@@ -155,6 +151,18 @@ def test_tilde_dist_matches_the_reference_on_finite_spaces():
         _assert_same_as_reference(signed_alphabet(space.points), space)
 
 
+def test_integer_costs_match_the_reference_on_finite_spaces():
+    # every ordered pair of signed letters, the base letter in both signs
+    # included: fix[t] is d~(x_t, e) and pair[t][j] is d~(x_t, x_j^-1)
+    for space in (star_space(2), STAR3, chain_space(3), TRIANGLE):
+        letters = signed_alphabet(space.points)
+        fix, pair, scale = space.integer_costs([(x.point, x.sign) for x in letters])
+        for t, a in enumerate(letters):
+            assert Fraction(fix[t], scale) == _reference_tilde_dist(a, Letter(space.base), space), a
+            for j, b in enumerate(letters):
+                assert Fraction(pair[t][j], scale) == _reference_tilde_dist(a, b.inverse(), space), (a, b)
+
+
 def test_tilde_dist_matches_the_reference_on_interval_points():
     rng = random.Random(61)
     points = [Fraction(0), Fraction(1)]
@@ -220,7 +228,8 @@ def test_signed_table_stays_out_of_equality_repr_and_json():
     }
     copy = space_from_json(space_to_json(TRIANGLE))
     assert copy == TRIANGLE and hash(copy) == hash(TRIANGLE)
-    assert copy.signed == TRIANGLE.signed and copy.signed is not TRIANGLE.signed
+    assert copy.scaled == TRIANGLE.scaled and copy.scaled is not TRIANGLE.scaled
+    assert copy.table_scale == TRIANGLE.table_scale == 3
 
 
 def test_tilde_dist_metric_axioms_exhaustive_on_finite_spaces():

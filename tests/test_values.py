@@ -9,7 +9,7 @@ import pytest
 from graev.certificates import ConjugateDecomposition, ExponentObstruction, PowerCertificate
 from graev.maps import BasisTranslation, PartialContraction, PointMap, triangular_translation
 from graev.norm import SigmaMatching
-from graev.spaces import FiniteSpace, IntervalSpace, MetricViolation
+from graev.spaces import FiniteSpace, IntervalSpace
 from graev.suite import PropertyResult
 from graev.words import Letter, Word
 
@@ -20,7 +20,6 @@ MAKERS = {
     "Letter": lambda: Letter("e1", -1),
     "Word": lambda: Word((Letter("e1"), Letter("e2", -1))),
     "SigmaMatching": lambda: SigmaMatching(3, (3, 2, 1)),
-    "MetricViolation": lambda: MetricViolation("triangle", ("a", "b", "c")),
     "IntervalSpace": IntervalSpace,
     "FiniteSpace": lambda: FiniteSpace.from_table("e", ("e", "a"), {("e", "a"): Fraction(1)}),
     "PointMap": lambda: PointMap.scaling(Fraction(1, 2)),
@@ -38,7 +37,6 @@ REPRS = {
     "Letter": "Letter(point='e1', sign=-1)",
     "Word": "Word(letters=(Letter(point='e1', sign=1), Letter(point='e2', sign=-1)))",
     "SigmaMatching": "SigmaMatching(k=3, map=(3, 2, 1))",
-    "MetricViolation": "MetricViolation(axiom='triangle', points=('a', 'b', 'c'))",
     "IntervalSpace": "IntervalSpace()",
     "PointMap": (
         "PointMap(domain=IntervalSpace(), codomain=IntervalSpace(), kind='affine', "
@@ -99,13 +97,13 @@ def test_repr_is_that_of_the_replaced_dataclass(name):
 def test_values_differ_when_a_field_differs():
     assert Letter("e1", -1) != Letter("e1") and Letter("e1") != Letter("e2")
     assert SigmaMatching(2, (2, 1)) != SigmaMatching(2, (1, 2))
-    assert MetricViolation("triangle", ("a",)) != MetricViolation("identity", ("a",))
 
 
 def test_finite_space_signed_table_is_not_a_field():
     space = MAKERS["FiniteSpace"]()
-    assert "signed" not in repr(space) and "signed" not in space._fields
-    assert space.signed["a", "a"] == (0, 2)
+    for name in ("scaled", "table_scale"):
+        assert name not in repr(space) and name not in space._fields
+    assert space.scaled["a", "a"] == (0, 2) and space.table_scale == 1
 
 
 def test_property_result_is_an_immutable_hashable_value():
