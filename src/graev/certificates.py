@@ -89,8 +89,8 @@ def decompose_conjugates(w: Word, m: int) -> Optional[ConjugateDecomposition]:
     if value >= m:
         return None
 
-    _, costs, _ = integer_costs(w.letters, space)
-    zero_pairs = [(i, j) for i, j in matching.pairs() if costs[i - 1][j - 1] == 0]
+    # on a reduced star word, d~(x_i, x_j^-1) is 0 exactly when x_i = x_j^-1
+    zero_pairs = [(i, j) for i, j in matching.pairs() if w[i - 1] == w[j - 1].inverse()]
     matched = {pos for pair in zero_pairs for pos in pair}
     unmatched = [pos for pos in range(1, len(w) + 1) if pos not in matched]
     if len(unmatched) != value:

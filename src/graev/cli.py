@@ -6,6 +6,12 @@ verdict, 1 for a valid negative result (NONE, FAIL, UNKNOWN, a failing
 suite), 2 for usage, parse or file errors.  Rationals print in lowest terms
 and all output is deterministic for a fixed seed.
 
+Each command takes only the options it reads: ``--space`` on norm, metric,
+verify, search and extend-map; ``--json`` on norm, metric, verify,
+check-sigma, extend-map and suite (decompose and search always print JSON);
+``--seed`` on suite alone.  ``norm`` recovers a matching only for
+``--json``, which prints it; its text output is the value alone.
+
 Each command imports the modules only it needs (``certificates``, ``maps``,
 ``suite``, ``json``) when it runs, so the start-up of every other command
 skips them.
@@ -18,7 +24,7 @@ import re
 import sys
 from typing import NoReturn, Optional, Sequence
 
-from .norm import NORM_LENGTH_MAX, check_length, graev_metric, is_sigma, matching_to_json, norm_dp  # re-exports NORM_LENGTH_MAX
+from .norm import NORM_LENGTH_MAX, check_length, graev_metric, graev_norm, is_sigma, matching_to_json, norm_dp  # re-exports NORM_LENGTH_MAX
 from .rationals import clip, parse_rational
 from .spaces import Space, read_json, resolve_space, star_space
 from .words import format_word, free_reduce, parse_word
@@ -36,8 +42,8 @@ def integer(text: str) -> int:
     return int(text)
 
 
-def _space(args: argparse.Namespace, default: str = "interval") -> Space:
-    return resolve_space(args.space if args.space is not None else default)
+def _space(args: argparse.Namespace) -> Space:
+    return resolve_space(args.space if args.space is not None else "interval")
 
 
 def _print_json(payload: dict) -> None:
@@ -50,11 +56,11 @@ def _cmd_norm(args: argparse.Namespace) -> int:
     check_length("word", args.word)
     space = _space(args)
     word = free_reduce(parse_word(args.word, space), space.base)
-    value, matching = norm_dp(word, space)
     if args.json:
+        value, matching = norm_dp(word, space)
         _print_json({"norm": str(value), "matching": matching_to_json(matching, value)})
     else:
-        print(value)
+        print(graev_norm(word, space))
     return 0
 
 
@@ -75,14 +81,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     from .certificates import decompose_conjugates, decomposition_to_json
 
     check_length("word", args.word)
-    m = args.m
-    space = star_space(m)
-    if args.space is not None:
-        given = resolve_space(args.space)
-        if given != space:
-            raise ValueError(f"decompose needs the rank-{m} star space (lemma32-m{m})")
-    word = parse_word(args.word, space)
-    decomposition = decompose_conjugates(word, m)
+    word = parse_word(args.word, star_space(args.m))
+    decomposition = decompose_conjugates(word, args.m)
     if decomposition is None:
         print("NONE")
         return 1
@@ -236,41 +236,41 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--space",
-        help="built-in space name (interval, lemma32-m<k>) or a space JSON file",
-    )
-    common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument("--seed", type=integer, default=0, help="seed for randomized runs")
-
     parser = _Parser(
         prog="graev",
         description="Exact norms and metrics on free groups over pointed metric spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_norm = sub.add_parser("norm", parents=[common], help="norm of a word")
+    space_help = "built-in space name (interval, lemma32-m<k>) or a space JSON file"
+    json_help = "emit JSON instead of text"
+
+    p_norm = sub.add_parser("norm", help="norm of a word")
+    p_norm.add_argument("--space", help=space_help)
+    p_norm.add_argument("--json", action="store_true", help=json_help)
     p_norm.add_argument("word")
     p_norm.set_defaults(func=_cmd_norm)
 
-    p_metric = sub.add_parser("metric", parents=[common], help="distance between two words")
+    p_metric = sub.add_parser("metric", help="distance between two words")
+    p_metric.add_argument("--space", help=space_help)
+    p_metric.add_argument("--json", action="store_true", help=json_help)
     p_metric.add_argument("left")
     p_metric.add_argument("right")
     p_metric.set_defaults(func=_cmd_metric)
 
-    p_dec = sub.add_parser(
-        "decompose", parents=[common], help="conjugate decomposition over the star space"
-    )
+    p_dec = sub.add_parser("decompose", help="conjugate decomposition over the star space")
     p_dec.add_argument("--m", type=integer, required=True, help="number of star generators")
     p_dec.add_argument("word")
     p_dec.set_defaults(func=_cmd_decompose)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="verify a certificate file")
+    p_verify = sub.add_parser("verify", help="verify a certificate file")
+    p_verify.add_argument("--space", help=space_help)
+    p_verify.add_argument("--json", action="store_true", help=json_help)
     p_verify.add_argument("certificate")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_search = sub.add_parser("search", parents=[common], help="search for a power certificate")
+    p_search = sub.add_parser("search", help="search for a power certificate")
+    p_search.add_argument("--space", help=space_help)
     p_search.add_argument("word")
     p_search.add_argument("--c", required=True, help="norm-ball radius (rational)")
     p_search.add_argument("--n", type=integer, default=3, help="power exponent (odd, >= 3)")
@@ -278,20 +278,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--budget-length", type=integer, default=2)
     p_search.set_defaults(func=_cmd_search)
 
-    p_sigma = sub.add_parser(
-        "check-sigma", parents=[common], help="test matching-class membership of a permutation"
-    )
+    p_sigma = sub.add_parser("check-sigma", help="test matching-class membership of a permutation")
+    p_sigma.add_argument("--json", action="store_true", help=json_help)
     p_sigma.add_argument("permutation", help="images of 1..k, e.g. '3 2 1' or 3,2,1")
     p_sigma.set_defaults(func=_cmd_check_sigma)
 
-    p_map = sub.add_parser(
-        "extend-map", parents=[common], help="extend a point map and optionally apply it"
-    )
+    p_map = sub.add_parser("extend-map", help="extend a point map and optionally apply it")
+    p_map.add_argument("--space", help=space_help)
+    p_map.add_argument("--json", action="store_true", help=json_help)
     p_map.add_argument("mapfile", help="point-map or partial-contraction JSON file")
     p_map.add_argument("word", nargs="?", help="word to push through the extension")
     p_map.set_defaults(func=_cmd_extend_map)
 
-    p_suite = sub.add_parser("suite", parents=[common], help="run the property suites")
+    p_suite = sub.add_parser("suite", help="run the property suites")
+    p_suite.add_argument("--json", action="store_true", help=json_help)
+    p_suite.add_argument("--seed", type=integer, default=0, help="seed for randomized runs")
     p_suite.add_argument("--select", default="all", help="suite selection (default: all)")
     p_suite.add_argument("--cases", type=integer, default=100, help="cases per property")
     p_suite.set_defaults(func=_cmd_suite)

@@ -186,7 +186,7 @@ def extend_partial_contraction(p: PartialContraction) -> PointMap:
     return PointMap.piecewise(breakpoints)
 
 
-def scaling_norm_law(gamma: Fraction, w: Word, space: Space = INTERVAL) -> tuple[Fraction, Fraction]:
+def scaling_norm_law(gamma: Fraction, w: Word) -> tuple[Fraction, Fraction]:
     """(norm of the image under t -> gamma*t, gamma * norm of w).
 
     The two components are equal exact rationals; the suite asserts that.
@@ -194,7 +194,7 @@ def scaling_norm_law(gamma: Fraction, w: Word, space: Space = INTERVAL) -> tuple
     if not 0 < gamma <= 1:
         raise ValueError("scaling factor must satisfy 0 < gamma <= 1")
     image = extend_endomorphism(PointMap.scaling(gamma), w)
-    return graev_norm(image, INTERVAL), gamma * graev_norm(w, space)
+    return graev_norm(image, INTERVAL), gamma * graev_norm(w, INTERVAL)
 
 
 def grid_map(m: int) -> PointMap:

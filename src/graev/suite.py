@@ -56,7 +56,6 @@ from .words import (
     concat,
     conjugate,
     cyclic_shift,
-    enumerate_reduced_words,
     format_word,
     free_reduce,
     invert_word,
@@ -206,15 +205,6 @@ def random_power_certificate(rng: random.Random, space: Space, n: int) -> PowerC
     for x in bases:
         target = concat(target, word_power(x, n, space.base), space.base)
     return PowerCertificate(n=n, c=c, target=target, bases=bases)
-
-
-def all_reduced_words(space: FiniteSpace, max_len: int) -> Iterable[Word]:
-    """Every reduced word of length <= max_len over a finite space."""
-    return enumerate_reduced_words(signed_alphabet(space.generators), max_len)
-
-
-def grid_alphabet(m: int) -> list[Letter]:
-    return signed_alphabet([Fraction(j, m) for j in range(1, m + 1)])
 
 
 TEST_SPACES: tuple[Space, ...] = (star_space(2), star_space(3), INTERVAL)
@@ -585,7 +575,7 @@ def decompose_suite(seed: int, cases: int) -> list[PropertyResult]:
 
 def rescale_suite(seed: int, cases: int) -> list[PropertyResult]:
     def rescale_check(rng, m):
-        alphabet = grid_alphabet(m)
+        alphabet = signed_alphabet([Fraction(j, m) for j in range(1, m + 1)])
         length = rng.randint(0, 5)
         letters = [rng.choice(alphabet) for _ in range(length)]
         w = Word(tuple(letters))

@@ -23,10 +23,9 @@ from graev.certificates import (
     word_power,
 )
 from graev.maps import PointMap
-from graev.norm import graev_norm
+from graev.norm import graev_norm, integer_costs, norm_dp
 from graev.spaces import INTERVAL, FiniteSpace, chain_space, star_space
 from graev.suite import (
-    all_reduced_words,
     random_conjugate_product,
     random_power_certificate,
     random_reduced_word,
@@ -98,6 +97,42 @@ def test_decompose_rejects_foreign_alphabet():
         decompose_conjugates(parse_word("e3", STAR3), 2)
 
 
+def _table_rule_decomposition(w, m):
+    """decompose_conjugates with its zero-cost pairs read from the cost
+    table: the pairs of the optimal matching whose d~(x_i, x_j^-1) is 0."""
+    space = star_space(m)
+    w = free_reduce(w, space.base)
+    value, matching = norm_dp(w, space)
+    if value >= m:
+        return None
+    _, costs, _ = integer_costs(w.letters, space)
+    matched = {pos for i, j in matching.pairs() if costs[i - 1][j - 1] == 0 for pos in (i, j)}
+    factors = tuple(
+        (free_reduce(Word(tuple(w[t - 1] for t in range(1, pos) if t in matched)), space.base), w[pos - 1])
+        for pos in range(1, len(w) + 1)
+        if pos not in matched
+    )
+    return ConjugateDecomposition(m=m, target=w, factors=factors)
+
+
+def test_decompose_reads_the_zero_pairs_the_cost_table_gives():
+    rng = random.Random(20240831)
+    for _ in range(1500):
+        m = rng.randint(2, 5)
+        word = random_reduced_word(rng, star_space(m), 12)
+        assert decompose_conjugates(word, m) == _table_rule_decomposition(word, m), word
+
+
+def test_decompose_builds_one_cost_table(monkeypatch):
+    calls = []
+    real = FiniteSpace.integer_costs
+    monkeypatch.setattr(FiniteSpace, "integer_costs", lambda self, letters: calls.append(1) or real(self, letters))
+    for text in ("e1 e2 e1^-1", "e1 e2", "e1 e2 e3", "e2 e1 e3^-1 e1^-1 e2^-1"):
+        calls.clear()
+        decompose_conjugates(parse_word(text, STAR3), 3)
+        assert len(calls) == 1, text
+
+
 def test_verify_rejects_wrong_product():
     bad = ConjugateDecomposition(
         m=3,
@@ -138,7 +173,7 @@ def test_verify_accepts_identity_factor_letters():
 def test_ball_decomposition_equivalence_exhaustive_small():
     for m in (2, 3):
         space = star_space(m)
-        for word in all_reduced_words(space, 4):
+        for word in enumerate_reduced_words(signed_alphabet(space.generators), 4):
             value = graev_norm(word, space)
             decomposition = decompose_conjugates(word, m)
             assert (value < m) == (decomposition is not None)

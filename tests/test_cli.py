@@ -1,6 +1,8 @@
+import argparse
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,9 +12,11 @@ from pathlib import Path
 import pytest
 
 from graev.certificates import SEARCH_WORDS_MAX
-from graev.cli import NORM_LENGTH_MAX, main
+from graev.cli import NORM_LENGTH_MAX, build_parser, main
 from graev.rationals import RATIONAL_DIGITS_MAX, clip
-from graev.spaces import SCALE_DIGITS_MAX, SPACE_RANK_MAX
+from graev.spaces import INTERVAL, SCALE_DIGITS_MAX, SPACE_RANK_MAX, chain_space, space_to_json, star_space
+from graev.suite import insert_cancelling_pairs, random_any_word
+from graev.words import format_word
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -67,6 +71,28 @@ def test_norm_parse_error_names_token(capsys):
     assert "'wat'" in err
 
 
+def test_text_norm_recovers_no_matching(capsys, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("norm_dp ran for text output")
+
+    monkeypatch.setattr("graev.cli.norm_dp", refuse)
+    assert run_cli(capsys, "norm", "--space", "lemma32-m3", "e1 e2 e1^-1") == (0, "1\n", "")
+    assert run_cli(capsys, "norm", "2/5 4/5^-1") == (0, "2/5\n", "")
+
+
+def test_text_norm_is_the_norm_of_the_json_output(capsys, tmp_path):
+    chain4 = tmp_path / "chain4.json"
+    chain4.write_text(json.dumps(space_to_json(chain_space(4))))
+    rng = random.Random(2406)
+    for name, space in (("interval", INTERVAL), ("lemma32-m3", star_space(3)), (str(chain4), chain_space(4))):
+        for _ in range(12):
+            word = insert_cancelling_pairs(rng, random_any_word(rng, space, 48, base_prob=0.2), rng.randint(1, 8), space)
+            text = format_word(word)
+            code, out, err = run_cli(capsys, "norm", "--space", name, "--json", text)
+            assert (code, err) == (0, ""), text
+            assert run_cli(capsys, "norm", "--space", name, text) == (0, f"{json.loads(out)['norm']}\n", ""), text
+
+
 def test_metric_interval(capsys):
     code, out, _ = run_cli(capsys, "metric", "--space", "interval", "2/5", "4/5")
     assert (code, out) == (0, "2/5\n")
@@ -99,9 +125,12 @@ def test_decompose_empty_word(capsys):
 
 
 def test_decompose_rejects_mismatched_space(capsys):
-    code, _, err = run_cli(capsys, "decompose", "--m", "3", "--space", "interval", "e1")
-    assert code == 2
-    assert "star space" in err
+    # --m names the one space decompose works over; "interval" parses as
+    # the word, which leaves "e1" over too
+    with pytest.raises(SystemExit) as stop:
+        main(["decompose", "--m", "3", "--space", "interval", "e1"])
+    out, err = capsys.readouterr()
+    assert (stop.value.code, out, err) == (2, "", "error: unrecognized arguments: --space e1\n")
 
 
 def test_verify_power_certificate(capsys, tmp_path):
@@ -733,7 +762,94 @@ def test_help_still_prints_the_usage(capsys):
         main(["norm", "--help"])
     out, err = capsys.readouterr()
     assert (stop.value.code, err) == (0, "")
-    assert out.startswith("usage: graev norm [-h] [--space SPACE] [--json] [--seed SEED] word\n")
+    assert out.startswith("usage: graev norm [-h] [--space SPACE] [--json] word\n")
+
+
+# one valid argv per command with every option it defines set
+_EVERY_OPTION = {
+    "norm": ["norm", "--space", "interval", "--json", "2/5 4/5^-1"],
+    "metric": ["metric", "--space", "interval", "--json", "2/5", "4/5"],
+    "decompose": ["decompose", "--m", "3", "e1 e2 e1^-1"],
+    "verify": ["verify", "--space", "interval", "--json", "{power}"],
+    "search": ["search", "--space", "interval", "2/5 2/5 2/5", "--c", "1/2", "--n", "3",
+               "--budget-factors", "1", "--budget-length", "1"],
+    "check-sigma": ["check-sigma", "--json", "3 2 1"],
+    "extend-map": ["extend-map", "--space", "interval", "--json", "{scale}", "2/5 4/5^-1"],
+    "suite": ["suite", "--json", "--seed", "3", "--select", "sigma", "--cases", "2"],
+}
+
+
+def _subparsers():
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_every_option_of_every_command_is_read(capsys, tmp_path):
+    (tmp_path / "power.json").write_text(json.dumps({"n": 3, "c": "1/2", "target": "2/5 2/5 2/5", "bases": ["2/5"]}))
+    (tmp_path / "scale.json").write_text(json.dumps({"scale": "1/2"}))
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parsers = _subparsers()
+    assert sorted(_EVERY_OPTION) == sorted(parsers)
+    for command, argv in _EVERY_OPTION.items():
+        argv = [arg.format(power=tmp_path / "power.json", scale=tmp_path / "scale.json") for arg in argv]
+        args = build_parser().parse_args(argv, namespace=Recording())
+        reads.clear()
+        assert args.func(args) == 0, capsys.readouterr()
+        defined = {action.dest for action in parsers[command]._actions if action.dest != "help"}
+        assert reads - {"func", "command"} == defined, command
+    capsys.readouterr()
+
+
+def test_the_commands_take_nineteen_options():
+    options = {
+        command: sorted(s for a in parser._actions if a.option_strings and a.dest != "help" for s in a.option_strings)
+        for command, parser in _subparsers().items()
+    }
+    assert options == {
+        "norm": ["--json", "--space"],
+        "metric": ["--json", "--space"],
+        "decompose": ["--m"],
+        "verify": ["--json", "--space"],
+        "search": ["--budget-factors", "--budget-length", "--c", "--n", "--space"],
+        "check-sigma": ["--json"],
+        "extend-map": ["--json", "--space"],
+        "suite": ["--cases", "--json", "--seed", "--select"],
+    }
+    assert sum(map(len, options.values())) == 19
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "2/5", "--seed=1"],
+        ["metric", "2/5", "4/5", "--seed=1"],
+        ["decompose", "--m", "3", "e1", "--space=lemma32-m3"],
+        ["decompose", "--m", "3", "e1", "--json"],
+        ["decompose", "--m", "3", "e1", "--seed=1"],
+        ["verify", "cert.json", "--seed=1"],
+        ["search", "e1", "--c", "2", "--json"],
+        ["search", "e1", "--c", "2", "--seed=1"],
+        ["check-sigma", "3 2 1", "--space=interval"],
+        ["check-sigma", "3 2 1", "--seed=1"],
+        ["extend-map", "map.json", "--seed=1"],
+        ["suite", "--select", "sigma", "--space=interval"],
+    ],
+    ids=lambda argv: argv[0] + argv[-1].partition("=")[0],
+)
+def test_removed_options_are_usage_errors(capsys, argv):
+    option = argv[-1].partition("=")[0]
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (stop.value.code, out) == (2, "")
+    assert err.startswith("error: unrecognized arguments: ") and err.count("\n") == 1, err
+    assert option in err and len(err.encode()) < 200, err
 
 
 def test_every_exported_name_resolves():
