@@ -15,7 +15,6 @@ from importlib import import_module
 _EXPORTS = {
     "certificates": (
         "ConjugateDecomposition",
-        "ExponentObstruction",
         "PowerCertificate",
         "decompose_conjugates",
         "exponent_obstruction",

@@ -4,9 +4,9 @@ Membership of a word in the subgroup generated by n-th powers of a norm
 ball is witnessed, never decided: a certificate lists base words of norm
 below the radius whose n-th powers multiply to the target, and verification
 just re-checks that.  Non-membership is only ever established by the
-exponent-sum obstruction, which rules out products of few conjugated
-letters with n-th powers.  The bounded search returns a verified
-certificate or an explicit unknown.
+exponent-sum obstruction (``exponent_obstruction``, its text or None),
+which rules out products of few conjugated letters with n-th powers.  The
+bounded search returns a verified certificate or an explicit unknown.
 
 Conjugate decompositions realise words of small norm over the star space as
 short products of conjugated letters, with the factor count equal to the
@@ -17,6 +17,7 @@ multiplying out.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from operator import neg
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -51,6 +52,11 @@ POWER_EXPONENT_MAX = 999
 # words) took 18 s and 178 MB peak RSS on a 2-core VM
 SEARCH_WORDS_MAX = 1_200_000
 
+# letters of a power certificate's product before reduction, n times the
+# bases' summed lengths, since verifying holds them all at once: four 256-letter
+# star3 bases at n = 999 (1 022 976 letters) took 0.43 s and 65 MB on a 2-core VM
+POWER_LETTERS_MAX = 1 << 20
+
 
 def _check_odd_exponent(n: int) -> None:
     if n < 3 or n % 2 == 0 or n > POWER_EXPONENT_MAX:
@@ -73,12 +79,12 @@ class ConjugateDecomposition(Value):
 def decompose_conjugates(w: Word, m: int) -> Optional[ConjugateDecomposition]:
     """Write ``w`` as a product of norm(w) conjugated letters, if norm(w) < m.
 
-    Over the star space every pair in an optimal matching costs 0 or 2, so
-    replacing nonzero pairs by fixed points keeps the value; the surviving
-    zero-cost pairs cancel once the unmatched letters a_1..a_r are pulled
-    out, making the segments between them multiply to the identity.  The
-    conjugator g_j is the prefix up to the j-th unmatched position with the
-    earlier unmatched letters removed.  Returns None when norm(w) >= m.
+    Over the star space a pair costs 0 if its letters cancel, else 2, no
+    less than leaving both letters unmatched, so on a reduced word every
+    pair ``norm_dp`` keeps cancels.  Pulling out the unmatched letters
+    a_1..a_r leaves segments between them that multiply to the identity.
+    The conjugator g_j is the prefix up to the j-th unmatched position with
+    the earlier unmatched letters removed.  Returns None when norm(w) >= m.
     """
     space = star_space(m)
     for letter in w:
@@ -89,10 +95,7 @@ def decompose_conjugates(w: Word, m: int) -> Optional[ConjugateDecomposition]:
     if value >= m:
         return None
 
-    # on a reduced star word, d~(x_i, x_j^-1) is 0 exactly when x_i = x_j^-1
-    zero_pairs = [(i, j) for i, j in matching.pairs() if w[i - 1] == w[j - 1].inverse()]
-    matched = {pos for pair in zero_pairs for pos in pair}
-    unmatched = [pos for pos in range(1, len(w) + 1) if pos not in matched]
+    unmatched = matching.fixed()
     if len(unmatched) != value:
         raise RuntimeError(
             f"star-space norm {value} is not the {len(unmatched)} unmatched letters"
@@ -100,7 +103,7 @@ def decompose_conjugates(w: Word, m: int) -> Optional[ConjugateDecomposition]:
 
     factors = []
     for pos in unmatched:
-        prefix = [w[t - 1] for t in range(1, pos) if t in matched]
+        prefix = [w[t - 1] for t in range(1, pos) if matching.map[t - 1] != t]
         g = free_reduce(Word(tuple(prefix)), space.base)
         factors.append((g, w[pos - 1]))
     return ConjugateDecomposition(m=m, target=w, factors=tuple(factors))
@@ -145,6 +148,9 @@ class PowerCertificate(Value):
 
     def __init__(self, n: int, c: Fraction, target: Word, bases: tuple[Word, ...]) -> None:
         _check_odd_exponent(n)
+        letters = n * sum(map(len, bases))
+        if letters > POWER_LETTERS_MAX:
+            raise ValueError(f"the powers have {letters} letters, above the limit of {POWER_LETTERS_MAX}")
         if c <= 0:
             raise ValueError(f"the radius must be positive, got {c}")
         object.__setattr__(self, "n", n)
@@ -163,9 +169,7 @@ def power_certificate_failure(p: PowerCertificate, space: Space) -> Optional[str
         value = graev_norm(x, space)
         if value >= p.c:
             return f"N(base {idx}) = {value} >= c = {p.c}"
-    product = Word(())
-    for x in p.bases:
-        product = concat(product, word_power(x, p.n, space.base), space.base)
+    product = free_reduce(Word(tuple(chain.from_iterable(x.letters * p.n for x in p.bases))), space.base)
     target = free_reduce(p.target, space.base)
     if product != target:
         return _mismatch("powers", product, target)
@@ -354,29 +358,14 @@ def exponent_sum(w: Word, generator: Point) -> int:
     return sum(letter.sign for letter in w if letter.point == generator)
 
 
-class ExponentObstruction(Value):
-    """Every generator's exponent sum is nonzero mod n.
+def exponent_obstruction(w: Word, m: int, n: int) -> Optional[str]:
+    """The text that every exponent sum of ``w`` is nonzero mod n, else None.
 
     Any product of at most m-1 conjugated letters and arbitrary n-th powers
     leaves some generator's exponent sum at 0 mod n (pigeonhole: m-1
     letters cannot touch all m generators, and powers contribute multiples
-    of n), so a word carrying this report is not of that form.
+    of n), so a word with such a text is not of that form.
     """
-
-    __slots__ = _fields = ("m", "n", "sums")
-
-    def __init__(self, m: int, n: int, sums: tuple[tuple[str, int], ...]) -> None:
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "sums", sums)
-
-    def __str__(self) -> str:
-        inner = ", ".join(f"f_{g} = {s}" for g, s in self.sums)
-        return f"exponent sums ({inner}) are all nonzero mod {self.n}"
-
-
-def exponent_obstruction(w: Word, m: int, n: int) -> Optional[ExponentObstruction]:
-    """The mod-n obstruction report, or None when some sum is 0 mod n."""
     _check_odd_exponent(n)
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
@@ -384,9 +373,10 @@ def exponent_obstruction(w: Word, m: int, n: int) -> Optional[ExponentObstructio
     for letter in w:
         if not space.contains(letter.point):
             raise ValueError(f"letter point {letter.point!r} is not among e1..e{m}")
-    sums = tuple((f"e{i}", exponent_sum(w, f"e{i}")) for i in range(1, m + 1))
-    if all(s % n != 0 for _, s in sums):
-        return ExponentObstruction(m=m, n=n, sums=sums)
+    sums = [exponent_sum(w, f"e{i}") for i in range(1, m + 1)]
+    if all(s % n != 0 for s in sums):
+        inner = ", ".join(f"f_e{i} = {s}" for i, s in enumerate(sums, 1))
+        return f"exponent sums ({inner}) are all nonzero mod {n}"
     return None
 
 

@@ -26,7 +26,7 @@ from typing import NoReturn, Optional, Sequence
 
 from .norm import NORM_LENGTH_MAX, check_length, graev_metric, graev_norm, is_sigma, matching_to_json, norm_dp  # re-exports NORM_LENGTH_MAX
 from .rationals import clip, parse_rational
-from .spaces import Space, read_json, resolve_space, star_space
+from .spaces import read_json, resolve_space, star_space
 from .words import format_word, free_reduce, parse_word
 
 
@@ -42,10 +42,6 @@ def integer(text: str) -> int:
     return int(text)
 
 
-def _space(args: argparse.Namespace) -> Space:
-    return resolve_space(args.space if args.space is not None else "interval")
-
-
 def _print_json(payload: dict) -> None:
     import json  # here, so commands that print text skip loading it
 
@@ -54,7 +50,7 @@ def _print_json(payload: dict) -> None:
 
 def _cmd_norm(args: argparse.Namespace) -> int:
     check_length("word", args.word)
-    space = _space(args)
+    space = resolve_space(args.space)
     word = free_reduce(parse_word(args.word, space), space.base)
     if args.json:
         value, matching = norm_dp(word, space)
@@ -66,7 +62,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 
 def _cmd_metric(args: argparse.Namespace) -> int:
     check_length("left and right words", args.left, args.right)
-    space = _space(args)
+    space = resolve_space(args.space)
     u = parse_word(args.left, space)
     v = parse_word(args.right, space)
     value = graev_metric(u, v, space)
@@ -102,7 +98,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if "factors" in data:
         failure = conjugate_decomposition_failure(decomposition_from_json(data))
     elif "bases" in data:
-        space = _space(args)
+        space = resolve_space(args.space)
         failure = power_certificate_failure(power_certificate_from_json(data, space), space)
     else:
         raise ValueError("certificate file has neither 'factors' nor 'bases'")
@@ -122,7 +118,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     from .certificates import power_certificate_to_json, search_power_certificate
 
     check_length("target", args.word)
-    space = _space(args)
+    space = resolve_space(args.space)
     word = parse_word(args.word, space)
     certificate = search_power_certificate(
         word,
@@ -167,7 +163,7 @@ def _cmd_extend_map(args: argparse.Namespace) -> int:
     )
 
     data = read_json(args.mapfile, "map")
-    space = _space(args)
+    space = resolve_space(args.space)
     if "points" in data or "values" in data:
         mapping = extend_partial_contraction(partial_contraction_from_json(data))
     else:
@@ -246,13 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     json_help = "emit JSON instead of text"
 
     p_norm = sub.add_parser("norm", help="norm of a word")
-    p_norm.add_argument("--space", help=space_help)
+    p_norm.add_argument("--space", default="interval", help=space_help)
     p_norm.add_argument("--json", action="store_true", help=json_help)
     p_norm.add_argument("word")
     p_norm.set_defaults(func=_cmd_norm)
 
     p_metric = sub.add_parser("metric", help="distance between two words")
-    p_metric.add_argument("--space", help=space_help)
+    p_metric.add_argument("--space", default="interval", help=space_help)
     p_metric.add_argument("--json", action="store_true", help=json_help)
     p_metric.add_argument("left")
     p_metric.add_argument("right")
@@ -264,13 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.set_defaults(func=_cmd_decompose)
 
     p_verify = sub.add_parser("verify", help="verify a certificate file")
-    p_verify.add_argument("--space", help=space_help)
+    p_verify.add_argument("--space", default="interval", help=space_help)
     p_verify.add_argument("--json", action="store_true", help=json_help)
     p_verify.add_argument("certificate")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_search = sub.add_parser("search", help="search for a power certificate")
-    p_search.add_argument("--space", help=space_help)
+    p_search.add_argument("--space", default="interval", help=space_help)
     p_search.add_argument("word")
     p_search.add_argument("--c", required=True, help="norm-ball radius (rational)")
     p_search.add_argument("--n", type=integer, default=3, help="power exponent (odd, >= 3)")
@@ -284,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sigma.set_defaults(func=_cmd_check_sigma)
 
     p_map = sub.add_parser("extend-map", help="extend a point map and optionally apply it")
-    p_map.add_argument("--space", help=space_help)
+    p_map.add_argument("--space", default="interval", help=space_help)
     p_map.add_argument("--json", action="store_true", help=json_help)
     p_map.add_argument("mapfile", help="point-map or partial-contraction JSON file")
     p_map.add_argument("word", nargs="?", help="word to push through the extension")

@@ -9,8 +9,8 @@ by their factor; both facts are exercised by the suite rather than assumed.
 Also here: piecewise-linear extension of a partial contraction given on a
 finite subset of [0, 1], the grid-to-chain rescaling map, and basis changes:
 ``translate_word`` substitutes generators between two free bases (such as
-the triangular chain/star pair f_i <-> e1...ei), and norms extended from
-the two bases are checked to induce the same metric.
+the triangular chain/star pair f_i <-> e1...ei), and ``check_cross_extension``
+checks that the norms extended from one translation's two bases agree.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from .norm import graev_metric, graev_norm
@@ -105,9 +106,8 @@ class PointMap(Value):
             raise ValueError(f"point {p!r} is outside [0, 1]")
         if self.kind == AFFINE:
             return self.scale * p
-        xs = [x for x, _ in self.breakpoints]
-        idx = bisect_right(xs, p) - 1
-        if idx == len(xs) - 1:
+        idx = bisect_right(self.breakpoints, p, key=itemgetter(0)) - 1
+        if idx == len(self.breakpoints) - 1:
             return self.breakpoints[-1][1]
         (x0, y0), (x1, y1) = self.breakpoints[idx], self.breakpoints[idx + 1]
         return y0 + (y1 - y0) * (p - x0) / (x1 - x0)
@@ -115,10 +115,8 @@ class PointMap(Value):
 
 def extend_endomorphism(h: PointMap, w: Word) -> Word:
     """Apply ``h`` letterwise (inverse letters go to inverse images), reduce."""
-    out = []
-    for letter in w:
-        out.append(Letter(h.apply(letter.point), letter.sign))
-    return free_reduce(Word(tuple(out)), h.codomain.base)
+    out = tuple(Letter(h.apply(letter.point), letter.sign) for letter in w)
+    return free_reduce(Word(out), h.codomain.base)
 
 
 def check_contraction(h: PointMap) -> bool:
@@ -277,20 +275,17 @@ def triangular_translation(m: int) -> BasisTranslation:
     return BasisTranslation(chain, star, a_to_b, b_to_a)
 
 
-def check_cross_extension(
-    s1: Space, s2: Space, tr: BasisTranslation, samples: Sequence[Word]
-) -> bool:
-    """Do the norms extended from two bases induce the same metric?
+def check_cross_extension(tr: BasisTranslation, samples: Sequence[Word]) -> bool:
+    """Do the norms extended from both bases of ``tr`` induce one metric?
 
     First verifies the hypothesis on the generator sets: the metric
     extended from one basis must restrict, on the translated generators of
     the other basis, to that basis's point metric.  If the hypothesis
-    holds, every unordered pair from ``samples`` (words over ``s1``) must
-    get the same distance in both extensions.
+    holds, every unordered pair from ``samples`` (words over
+    ``tr.space_a``) must get the same distance in both extensions.
     """
-    if (tr.space_a, tr.space_b) != (s1, s2):
-        raise ValueError("translation does not connect the given spaces")
     validate_translation(tr)  # both spaces are finite from here on
+    s1, s2 = tr.space_a, tr.space_b
 
     for source, target, mapping in ((s2, s1, tr.b_to_a), (s1, s2, tr.a_to_b)):
         images = {
@@ -314,9 +309,7 @@ def map_to_json(h: PointMap) -> dict:
         return {"map": {str(p): str(q) for p, q in h.table.items()}}
     if h.kind == AFFINE:
         return {"scale": str(h.scale)}
-    return {
-        "breakpoints": [[str(x), str(y)] for x, y in h.breakpoints]
-    }
+    return {"breakpoints": [[str(x), str(y)] for x, y in h.breakpoints]}
 
 
 def map_from_json(data: dict, space: Space) -> PointMap:

@@ -49,7 +49,6 @@ from .words import Letter, Word, free_reduce, invert_word
 if TYPE_CHECKING:
     from .spaces import Space
 
-SIGMA_ENUM_MAX = 10
 BRUTE_FORCE_MAX = 10
 
 # letters of a word from outside the program that will be normed, counted as
@@ -64,24 +63,21 @@ Num = TypeVar("Num")  # an exact number type: Fraction or int
 class SigmaMatching(Value):
     """An involution of {1..k} stored as its image array (1-based)."""
 
-    __slots__ = _fields = ("k", "map")
+    __slots__ = _fields = ("map",)
 
-    def __init__(self, k: int, map: tuple[int, ...]) -> None:
-        if len(map) != k:
-            raise ValueError("image array length does not match k")
-        object.__setattr__(self, "k", k)
+    def __init__(self, map: tuple[int, ...]) -> None:
         object.__setattr__(self, "map", map)
 
     def pairs(self) -> list[tuple[int, int]]:
-        return [(i, self.map[i - 1]) for i in range(1, self.k + 1) if self.map[i - 1] > i]
+        return [(i, a) for i, a in enumerate(self.map, 1) if a > i]
 
     def fixed(self) -> list[int]:
-        return [i for i in range(1, self.k + 1) if self.map[i - 1] == i]
+        return [i for i, a in enumerate(self.map, 1) if a == i]
 
 
 def matching_to_json(matching: SigmaMatching, cost: Fraction) -> dict:
     return {
-        "k": matching.k,
+        "k": len(matching.map),
         "map": list(matching.map),
         "cost": str(cost),
         "pairs": [list(p) for p in matching.pairs()],
@@ -143,12 +139,12 @@ def _involutions(k: int) -> Iterator[tuple[int, ...]]:
 def enumerate_sigma(k: int) -> tuple[SigmaMatching, ...]:
     """Every matching in the class, by filtering all involutions of S_k.
 
-    Guarded to k <= 10 (2188 matchings); the guard keeps the brute-force
-    norm evaluator instant.
+    Guarded to k <= ``BRUTE_FORCE_MAX`` (10, 2188 matchings), the limit of
+    the brute-force norm evaluator it serves, which it keeps instant.
     """
-    if not 1 <= k <= SIGMA_ENUM_MAX:
-        raise ValueError(f"k must be between 1 and {SIGMA_ENUM_MAX}, got {k}")
-    return tuple(SigmaMatching(k, alpha) for alpha in _involutions(k) if is_sigma(alpha))
+    if not 1 <= k <= BRUTE_FORCE_MAX:
+        raise ValueError(f"k must be between 1 and {BRUTE_FORCE_MAX}, got {k}")
+    return tuple(SigmaMatching(alpha) for alpha in _involutions(k) if is_sigma(alpha))
 
 
 def noncrossing_involutions(k: int) -> set[tuple[int, ...]]:
@@ -241,7 +237,7 @@ def norm_dp(w: Word, space: Space) -> tuple[Fraction, SigmaMatching]:
     """
     k = len(w)
     if k == 0:
-        return Fraction(0), SigmaMatching(0, ())
+        return Fraction(0), SigmaMatching(())
     fix, pair, scale = integer_costs(w.letters, space)
     exact = {c: Fraction(c, scale) for c in set().union(fix, *pair)}
     value, back = interval_fill([exact[c] for c in fix], [[exact[c] for c in row] for row in pair])
@@ -259,7 +255,7 @@ def norm_dp(w: Word, space: Space) -> tuple[Fraction, SigmaMatching]:
             image[t], image[j] = j + 1, t + 1
             stack.append((i, t - 1))
             stack.append((t + 1, j - 1))
-    return value, SigmaMatching(k, tuple(image))
+    return value, SigmaMatching(tuple(image))
 
 
 def interval_fill(fix: Sequence[Num], pair: Sequence[Sequence[Num]]) -> tuple[Num, list[list[int]]]:

@@ -38,8 +38,9 @@ from .values import Value
 if TYPE_CHECKING:
     from .words import Letter, Point
 
-# built-in star and chain spaces hold an (m+1)^2 table and validating it
-# checks (m+1)^3 triangles (about 0.8 s at m = 64), so their rank is capped
+# a finite space holds an (m+1)^2 table and validating it checks (m+1)^3
+# triangles (about 0.8 s at m = 64), so the rank of the built-in star and
+# chain spaces and the non-base points of a space file are capped
 SPACE_RANK_MAX = 64
 
 # digits of the common denominator a norm's costs are scaled to: the lcm of
@@ -276,7 +277,8 @@ def space_to_json(space: Space) -> dict:
 
 def space_from_json(data: dict) -> Space:
     """Decode a space; the symmetric closure is applied and the metric
-    axioms are validated, so loading an invalid table fails."""
+    axioms are validated, so loading an invalid table fails, and a rank
+    above ``SPACE_RANK_MAX`` is refused before any distance is read."""
     kind = data.get("kind")
     if kind == "interval":
         return INTERVAL
@@ -284,6 +286,9 @@ def space_from_json(data: dict) -> Space:
         raise ValueError(f"unknown space kind {kind!r}")
     base = json_str(data, "space", "base")
     points = json_list(data, "space", "points", str, "strings")
+    rank = len(set(points) - {base})
+    if rank > SPACE_RANK_MAX:
+        raise ValueError(f"space file rank {rank} is above the limit of {SPACE_RANK_MAX} generators")
     raw = json_field(data, "space", "dist", lambda v: isinstance(v, dict), "an object")
     for p in points:
         if "," in p:

@@ -180,7 +180,7 @@ def test_criterion_7_rescaling_and_cross_basis():
                 seen.add(candidate)
                 samples.append(candidate)
         pairs += 21 * 20 // 2
-        if not check_cross_extension(chain, star_space(m), triangular_translation(m), samples):
+        if not check_cross_extension(triangular_translation(m), samples):
             _verdict(
                 "criterion 7 (rescaling and cross-basis)", False, f"cross-basis failed at m={m}"
             )

@@ -1,5 +1,6 @@
 import argparse
 import importlib
+import itertools
 import json
 import os
 import random
@@ -153,6 +154,19 @@ def test_verify_empty_certificate(capsys, tmp_path):
     path.write_text(json.dumps({"n": 3, "c": "1", "target": "", "bases": []}))
     code, out, _ = run_cli(capsys, "verify", str(path))
     assert (code, out) == (0, "PASS\n")
+
+
+@pytest.mark.parametrize("limit, code", [(12, 0), (11, 2)])
+def test_verify_bounds_the_letters_of_the_powers(capsys, tmp_path, monkeypatch, limit, code):
+    # two 2-letter bases at n = 3 make 12 letters before reduction
+    monkeypatch.setattr("graev.certificates.POWER_LETTERS_MAX", limit)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"n": 3, "c": "1", "target": " ".join(["2/5"] * 12), "bases": ["2/5 2/5"] * 2}))
+    start = time.perf_counter()
+    assert run_cli(capsys, "verify", str(path)) == (
+        (0, "PASS\n", "") if code == 0 else (2, "", f"error: the powers have 12 letters, above the limit of {limit}\n")
+    )
+    assert time.perf_counter() - start < 1
 
 
 def test_verify_conjugate_decomposition_file(capsys, tmp_path):
@@ -492,6 +506,27 @@ def test_huge_built_in_space_rank_is_a_usage_error(capsys, argv, m):
     code, out, err = run_cli(capsys, *(arg.format(m=m) for arg in argv))
     assert (code, out) == (2, "")
     assert err == f"error: star space rank {m} is above the limit of {SPACE_RANK_MAX} generators\n"
+
+
+def _star_space_file(tmp_path, rank: int) -> str:
+    points = ["e"] + [f"e{i}" for i in range(1, rank + 1)]
+    dist = {f"{a},{b}": "1" if a == "e" else "2" for a, b in itertools.combinations(points, 2)}
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"kind": "finite", "base": "e", "points": points, "dist": dist}))
+    return str(path)
+
+
+def test_space_file_at_the_rank_limit_is_read(capsys, tmp_path):
+    assert run_cli(capsys, "norm", "--space", _star_space_file(tmp_path, SPACE_RANK_MAX), "e1 e64") == (0, "2\n", "")
+
+
+def test_space_file_over_the_rank_limit_is_refused_before_its_table_is_built(capsys, tmp_path):
+    path = _star_space_file(tmp_path, SPACE_RANK_MAX + 1)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "norm", "--space", path, "e1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: space file rank {SPACE_RANK_MAX + 1} is above the limit of {SPACE_RANK_MAX} generators\n"
 
 
 @pytest.mark.parametrize("digits", ["7" * 5000, "0" * 5000 + "65"])
@@ -855,7 +890,7 @@ def test_removed_options_are_usage_errors(capsys, argv):
 def test_every_exported_name_resolves():
     import graev
 
-    assert len(graev.__all__) == len(set(graev.__all__)) == 45
+    assert len(graev.__all__) == len(set(graev.__all__)) == 44
     for name in graev.__all__:
         value = getattr(graev, name)
         module = importlib.import_module(f"graev.{graev._MODULE_OF[name]}")

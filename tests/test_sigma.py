@@ -78,11 +78,7 @@ def test_enumeration_guard():
 
 
 def test_matching_pairs_and_fixed_points():
-    matching = SigmaMatching(3, (3, 2, 1))
+    matching = SigmaMatching((3, 2, 1))
     assert matching.pairs() == [(1, 3)]
     assert matching.fixed() == [2]
 
-
-def test_matching_length_validation():
-    with pytest.raises(ValueError):
-        SigmaMatching(2, (1,))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from graev.certificates import ConjugateDecomposition, ExponentObstruction, PowerCertificate
+from graev.certificates import ConjugateDecomposition, PowerCertificate
 from graev.maps import BasisTranslation, PartialContraction, PointMap, triangular_translation
 from graev.norm import SigmaMatching
 from graev.spaces import FiniteSpace, IntervalSpace
@@ -19,7 +19,7 @@ TWO_FIFTHS = Word((Letter(Fraction(2, 5)),))
 MAKERS = {
     "Letter": lambda: Letter("e1", -1),
     "Word": lambda: Word((Letter("e1"), Letter("e2", -1))),
-    "SigmaMatching": lambda: SigmaMatching(3, (3, 2, 1)),
+    "SigmaMatching": lambda: SigmaMatching((3, 2, 1)),
     "IntervalSpace": IntervalSpace,
     "FiniteSpace": lambda: FiniteSpace.from_table("e", ("e", "a"), {("e", "a"): Fraction(1)}),
     "PointMap": lambda: PointMap.scaling(Fraction(1, 2)),
@@ -29,14 +29,13 @@ MAKERS = {
     "BasisTranslation": lambda: triangular_translation(2),
     "ConjugateDecomposition": lambda: ConjugateDecomposition(3, Word(), ()),
     "PowerCertificate": lambda: PowerCertificate(3, Fraction(1, 2), TWO_FIFTHS, (TWO_FIFTHS,)),
-    "ExponentObstruction": lambda: ExponentObstruction(3, 3, (("e1", 1),)),
 }
 
 # printed by the dataclasses these classes replaced
 REPRS = {
     "Letter": "Letter(point='e1', sign=-1)",
     "Word": "Word(letters=(Letter(point='e1', sign=1), Letter(point='e2', sign=-1)))",
-    "SigmaMatching": "SigmaMatching(k=3, map=(3, 2, 1))",
+    "SigmaMatching": "SigmaMatching(map=(3, 2, 1))",
     "IntervalSpace": "IntervalSpace()",
     "PointMap": (
         "PointMap(domain=IntervalSpace(), codomain=IntervalSpace(), kind='affine', "
@@ -96,7 +95,7 @@ def test_repr_is_that_of_the_replaced_dataclass(name):
 
 def test_values_differ_when_a_field_differs():
     assert Letter("e1", -1) != Letter("e1") and Letter("e1") != Letter("e2")
-    assert SigmaMatching(2, (2, 1)) != SigmaMatching(2, (1, 2))
+    assert SigmaMatching((2, 1)) != SigmaMatching((1, 2))
 
 
 def test_finite_space_signed_table_is_not_a_field():
