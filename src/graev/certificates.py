@@ -169,7 +169,7 @@ def power_certificate_failure(p: PowerCertificate, space: Space) -> Optional[str
         value = graev_norm(x, space)
         if value >= p.c:
             return f"N(base {idx}) = {value} >= c = {p.c}"
-    product = free_reduce(Word(tuple(chain.from_iterable(x.letters * p.n for x in p.bases))), space.base)
+    product = concat(Word(()), Word(tuple(chain.from_iterable(x.letters * p.n for x in p.bases))), space.base)
     target = free_reduce(p.target, space.base)
     if product != target:
         return _mismatch("powers", product, target)

@@ -115,8 +115,10 @@ class PointMap(Value):
 
 def extend_endomorphism(h: PointMap, w: Word) -> Word:
     """Apply ``h`` letterwise (inverse letters go to inverse images), reduce."""
-    out = tuple(Letter(h.apply(letter.point), letter.sign) for letter in w)
-    return free_reduce(Word(out), h.codomain.base)
+    out = []
+    for letter in w:
+        out.append(Letter(h.apply(letter.point), letter.sign))
+    return free_reduce(Word(tuple(out)), h.codomain.base)
 
 
 def check_contraction(h: PointMap) -> bool:
@@ -309,7 +311,9 @@ def map_to_json(h: PointMap) -> dict:
         return {"map": {str(p): str(q) for p, q in h.table.items()}}
     if h.kind == AFFINE:
         return {"scale": str(h.scale)}
-    return {"breakpoints": [[str(x), str(y)] for x, y in h.breakpoints]}
+    return {
+        "breakpoints": [[str(x), str(y)] for x, y in h.breakpoints]
+    }
 
 
 def map_from_json(data: dict, space: Space) -> PointMap:

@@ -188,7 +188,10 @@ def random_conjugate_product(rng: random.Random, m: int) -> Word:
     product = Word(())
     for _ in range(m - 1):
         g = random_reduced_word(rng, space, 3)
-        a = Letter("e") if rng.random() < 0.15 else random_letter(rng, space)
+        if rng.random() < 0.15:
+            a = Letter("e")
+        else:
+            a = random_letter(rng, space)
         product = concat(product, conjugate(g, Word((a,)), "e"), "e")
     return product
 

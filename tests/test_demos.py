@@ -4,6 +4,7 @@ exactly the text committed beside this file in ``demo_output``."""
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 EXPECTED = Path(__file__).resolve().parent / "demo_output"
 
 
+@cache  # one run per demo, shared by the whole-output and line tests
 def run_demo(path: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, str(path)], capture_output=True, text=True, env=env)
