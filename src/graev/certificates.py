@@ -21,7 +21,7 @@ from itertools import chain
 from operator import neg
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .norm import check_length, graev_norm, integer_costs, interval_fill, norm_dp
+from .norm import NORM_LENGTH_MAX, check_length, graev_norm, interval_fill, norm_dp
 from .rationals import clip, parse_rational
 from .spaces import FiniteSpace, Space, json_int, json_list, json_str, star_space
 from .values import Value
@@ -54,7 +54,9 @@ SEARCH_WORDS_MAX = 1_200_000
 
 # letters of a power certificate's product before reduction, n times the
 # bases' summed lengths, since verifying holds them all at once: four 256-letter
-# star3 bases at n = 999 (1 022 976 letters) took 0.43 s and 65 MB on a 2-core VM
+# star3 bases at n = 999 (1 022 976 letters) took 0.43 s and 65 MB on a 2-core VM.
+# A search meets it also for the powers of all its candidates, which it holds
+# at once: star3 at length 4 and n = 297 (1 044 252 letters) took 0.36 s and 30 MB
 POWER_LETTERS_MAX = 1 << 20
 
 
@@ -231,13 +233,13 @@ def _candidate_bases(
     """The nonempty reduced words over the coded points with norm < c, in
     canonical order.
 
-    Each norm is the ``norm_dp`` fill over the costs ``integer_costs``
-    gives once per call for the coded signed alphabet, compared with c
-    times their scale.  N(w^-1) = N(w), so each inverse pair is normed
-    once, at whichever of the two comes first.
+    Each norm is the ``norm_dp`` fill over the costs one call of the
+    space's ``integer_costs`` gives for the coded signed alphabet, compared
+    with c times their scale.  N(w^-1) = N(w), so each inverse pair is
+    normed once, at whichever of the two comes first.
     """
     keys = [sign * i for i in code.values() for sign in (1, -1)]
-    fixes, pairs, scale = integer_costs([Letter(p, sign) for p in code for sign in (1, -1)], space)
+    fixes, pairs, scale = space.integer_costs([Letter(p, sign) for p in code for sign in (1, -1)])
     fix = dict(zip(keys, fixes))
     pair = {x: dict(zip(keys, row)) for x, row in zip(keys, pairs)}
     limit = c.numerator * scale  # value / scale < c, in integers
@@ -282,6 +284,11 @@ def search_power_certificate(
     state s reaches the target with at most one candidate, the one whose
     power is s^-1 * target.  Only levels below ``max_factors`` are
     expanded and stored.
+
+    Before the first level, a budget is refused that enumerates more than
+    ``SEARCH_WORDS_MAX`` candidate words, norms a candidate of more than
+    ``NORM_LENGTH_MAX`` letters, or builds candidate powers of more than
+    ``POWER_LETTERS_MAX`` letters in all; the stored states have no bound.
     """
     _check_odd_exponent(n)
     if c <= 0:
@@ -303,8 +310,13 @@ def search_power_certificate(
             f"base length {clip(str(max_base_length))} over {2 * len(code)} signed letters is above "
             f"the limit of {SEARCH_WORDS_MAX} candidate words"
         )
+    if max_base_length > NORM_LENGTH_MAX:  # each candidate is normed
+        raise ValueError(f"base length {max_base_length} is above the limit of {NORM_LENGTH_MAX} letters")
     goal = _encode(target, code)
     candidates = _candidate_bases(code, c, max_base_length, space)
+    letters = n * sum(map(len, candidates))
+    if letters > POWER_LETTERS_MAX:
+        raise ValueError(f"the candidate powers have {letters} letters, above the limit of {POWER_LETTERS_MAX}")
     powers = []
     root: dict[tuple[int, ...], int] = {}
     for j, base in enumerate(candidates):

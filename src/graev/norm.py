@@ -7,8 +7,8 @@ matched pair (t, j) pays d~(x_t, x_j^-1) and an unmatched position pays its
 distance to the base point.  Two evaluators are provided:
 
 * ``norm_bruteforce`` enumerates the involution class literally and takes
-  the minimum of the defining sums, over the integer-scaled costs of
-  ``integer_costs`` (guarded to short words);
+  the minimum of the defining sums, over the integer-scaled costs of the
+  space's ``integer_costs`` (guarded to short words);
 * ``norm_dp`` is an O(k^3) interval dynamic program over non-crossing
   matchings that also recovers one optimal matching.  Its fill,
   ``interval_fill``, weighs a split t of x_j at the rows i < t only if t
@@ -22,12 +22,14 @@ distance to the base point.  Two evaluators are provided:
 The two must agree exactly on every input; that equivalence is an oracle
 check in the test suite, not an assumption here.
 
-Every evaluator takes its costs from ``integer_costs``, the one place d~ is
-computed: the space scales every cost to an integer over one common
-denominator, bounded by ``graev.spaces.SCALE_DIGITS_MAX``, with no
-``Fraction`` arithmetic.  Callers that need only a value fill over those
-integers: ``graev_norm`` and ``graev_metric`` (the same fill, no matching
-recovered), the brute force and the certificate search's candidate norms.
+Every evaluator takes its costs from one call of the space's
+``integer_costs`` on the word's letters, the one place d~ is computed: the
+space gives the cost of every position and pair of positions as an integer
+over one common denominator, bounded by ``graev.spaces.SCALE_DIGITS_MAX``,
+with no ``Fraction`` arithmetic.  Callers that need only a value fill over
+those integers: ``graev_norm`` and ``graev_metric`` (the same fill, no
+matching recovered), the brute force and the certificate search's
+candidate norms.
 ``norm_dp``, which recovers a matching, turns each distinct integer cost
 into one ``Fraction`` over the scale and fills over those, the same exact
 rationals, so values and matchings do not depend on the scale.  Its fill
@@ -44,7 +46,7 @@ from operator import getitem
 from typing import TYPE_CHECKING, Iterator, Sequence, TypeVar
 
 from .values import Value
-from .words import Letter, Word, free_reduce, invert_word
+from .words import Word, free_reduce, invert_word
 
 if TYPE_CHECKING:
     from .spaces import Space
@@ -184,32 +186,14 @@ def check_length(what: str, *texts: str) -> None:
         raise ValueError(f"{what}: {letters} letters is above the limit of {NORM_LENGTH_MAX}")
 
 
-def integer_costs(
-    letters: Sequence[Letter], space: Space
-) -> tuple[list[int], list[list[int]], int]:
-    """The fix and pair costs of a letter sequence as integers over one
-    denominator; returns (fix, pair, scale).
-
-    ``fix[j]`` is d~(x_j, e) and ``pair[t][j]`` is d~(x_t, x_j^-1) for every
-    t and j, the diagonal d~(x, x^-1) included, each multiplied by
-    ``scale``, the common denominator the space picks.  The space computes
-    them, with no ``Fraction`` arithmetic, once per distinct letter and pair
-    of distinct letters, and rejects a point outside it or a scale over
-    ``SCALE_DIGITS_MAX``.
-    """
-    index: dict[tuple, int] = {}
-    at = [index.setdefault((x.point, x.sign), len(index)) for x in letters]
-    fix, pair, scale = space.integer_costs(list(index))
-    return [fix[i] for i in at], [[pair[i][j] for j in at] for i in at], scale
-
-
 def norm_bruteforce(w: Word, space: Space) -> Fraction:
     """The defining minimum, evaluated literally over the whole class.
 
     Every matching of ``enumerate_sigma(k)`` is summed over the integer
-    costs of ``integer_costs``: position i pays d~(x_i, x_alpha(i)^-1), so
-    a fixed point pays the diagonal d~(x, x^-1) and a pair is paid from
-    both ends; the minimum is halved and divided by the scale once.
+    costs of the space's ``integer_costs``: position i pays
+    d~(x_i, x_alpha(i)^-1), so a fixed point pays the diagonal d~(x, x^-1)
+    and a pair is paid from both ends; the minimum is halved and divided by
+    the scale once.
     Accepts unreduced words (the value does not depend on the chosen
     representation; the suite tests that instead of assuming it).
     Guarded to 10 letters.
@@ -219,7 +203,7 @@ def norm_bruteforce(w: Word, space: Space) -> Fraction:
         return Fraction(0)
     if k > BRUTE_FORCE_MAX:
         raise ValueError(f"brute force is limited to {BRUTE_FORCE_MAX} letters, got {k}")
-    _, pair, scale = integer_costs(w.letters, space)
+    _, pair, scale = space.integer_costs(w.letters)
     rows = [[0] + row for row in pair]  # 1-based columns, as the image arrays are
     best = min(sum(map(getitem, rows, matching.map)) for matching in enumerate_sigma(k))
     return Fraction(best, 2 * scale)
@@ -238,7 +222,7 @@ def norm_dp(w: Word, space: Space) -> tuple[Fraction, SigmaMatching]:
     k = len(w)
     if k == 0:
         return Fraction(0), SigmaMatching(())
-    fix, pair, scale = integer_costs(w.letters, space)
+    fix, pair, scale = space.integer_costs(w.letters)
     exact = {c: Fraction(c, scale) for c in set().union(fix, *pair)}
     value, back = interval_fill([exact[c] for c in fix], [[exact[c] for c in row] for row in pair])
 
@@ -310,8 +294,8 @@ def interval_fill(fix: Sequence[Num], pair: Sequence[Sequence[Num]]) -> tuple[Nu
 
 def graev_norm(w: Word, space: Space) -> Fraction:
     """Canonical norm of the group element: evaluated on the reduced form, as
-    a value alone, by the fill over ``integer_costs``."""
-    fix, pair, scale = integer_costs(free_reduce(w, space.base).letters, space)
+    a value alone, by the fill over the space's ``integer_costs``."""
+    fix, pair, scale = space.integer_costs(free_reduce(w, space.base).letters)
     return Fraction(interval_fill(fix, pair)[0], scale)
 
 

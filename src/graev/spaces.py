@@ -7,17 +7,19 @@ d(x, y) = |x - y|.
 
 The point metric extends to signed letters: d~ is d(x, y) for equal signs
 and d(x, e) + d(e, y) for opposite signs.  Each space computes d~ in one
-place, ``integer_costs``: the costs of a list of signed letters as integers
-over a common denominator bounded by ``SCALE_DIGITS_MAX``, with no
-``Fraction`` arithmetic.  The interval scales by the lcm of the letters'
-denominators, found per call, and returns |P - Q| or P + Q on
-P = p * scale, since d(p, 0) + d(0, q) = p + q on [0, 1]; a finite space
-scales by the lcm of its table's denominators and looks both up in a signed
-table built once from its distances.  The base letter needs no branch:
-d(e, e) = 0, so d(e, y) and d(e, e) + d(e, y) are the same value and either
-sign of e gives it.  Every norm takes its costs from there, so it is also
-where a letter's point is checked to be in the space; ``tilde_dist`` is the
-one ``Fraction`` view of it, for a single pair of letters.
+place, ``integer_costs``: the cost table of a word's letters, position by
+position, as integers over a common denominator bounded by
+``SCALE_DIGITS_MAX``, with no ``Fraction`` arithmetic.  The interval scales
+by the lcm of the letters' denominators, found per call, and on the signed
+whole numbers U = sign * p * scale a pair costs |U_t + U_j|: |P - Q| for
+x_t and x_j^-1 of equal signs, P + Q = d(p, 0) + d(0, q) for opposite ones.
+A finite space scales by the lcm of its table's denominators and reads each
+letter's row of a signed table built once from its distances.  The base
+letter needs no branch: d(e, e) = 0, so d(e, y) and d(e, e) + d(e, y) are
+the same value and either sign of e gives it.  Every norm takes its costs
+from there, so it is also where a letter's point is checked to be in the
+space; ``tilde_dist`` is the one ``Fraction`` view of it, for a single pair
+of letters.
 
 Spaces are immutable after construction, hashable, and safe to share between
 concurrent norm computations.
@@ -93,28 +95,31 @@ class IntervalSpace(Value):
     def dist(self, a: Fraction, b: Fraction) -> Fraction:
         return abs(a - b)
 
-    def integer_costs(self, letters: Sequence[tuple["Point", int]]) -> tuple[list, list, int]:
-        """(fix, pair, scale) of letters (point, sign): d~(x_t, e) and
-        d~(x_t, x_j^-1) times the scale, the lcm of the points' denominators,
-        |P - Q| or P + Q on P = p * scale.  Each point is checked to be in
-        the space, and then the scale against ``SCALE_DIGITS_MAX``."""
-        scale = 1
-        for p, _ in letters:
-            if not self.contains(p):
+    def integer_costs(self, letters: Sequence["Letter"]) -> tuple[list, list, int]:
+        """(fix, pair, scale) of a word's letters: d~(x_t, e) and
+        d~(x_t, x_j^-1) times the scale, the lcm of the points'
+        denominators, |U_t| and |U_t + U_j| on U = sign * p * scale.  Each
+        point is checked to be in the space, and then the scale against
+        ``SCALE_DIGITS_MAX``."""
+        nums, dens = [], []
+        for x in letters:
+            p = x.point
+            # contains(p), reading the numerator and denominator once
+            if not (isinstance(p, Fraction) and 0 <= (a := p.numerator) <= (q := p.denominator)):
                 raise ValueError(f"letter point {p!r} is not in the space")
-            scale = lcm(scale, p.denominator)
-        scale = check_scale(scale, "the letters'")
-        whole = [(p.numerator * (scale // p.denominator), s) for p, s in letters]
-        pair = [[abs(a - b) if s != r else a + b for b, r in whole] for a, s in whole]
-        return [a for a, _ in whole], pair, scale
+            nums.append(x.sign * a)
+            dens.append(q)
+        scale = check_scale(lcm(*dens), "the letters'")
+        whole = [a * (scale // q) for a, q in zip(nums, dens)]
+        return list(map(abs, whole)), [[abs(u + v) for v in whole] for u in whole], scale
 
 
 class FiniteSpace(Value):
-    # ``scaled`` maps (a, b) to (d~ for equal signs, d~ for opposite signs)
-    # times ``table_scale``, the lcm of the table's denominators; derived
-    # from the table, they are no fields: they take no part in equality,
-    # hashing or the repr
-    __slots__ = ("base", "points", "table", "scaled", "table_scale")
+    # ``signed`` numbers the signed letters (p, s), and ``scaled[i][j]`` is
+    # d~(x_i, x_j^-1) times ``table_scale``, the lcm of the table's
+    # denominators; derived from the table, they are no fields: they take
+    # no part in equality, hashing or the repr
+    __slots__ = ("base", "points", "table", "signed", "scaled", "table_scale")
     _fields = ("base", "points", "table")
 
     kind = "finite"
@@ -125,10 +130,14 @@ class FiniteSpace(Value):
         table = FrozenTable(table)
         scale = check_scale(lcm(*(d.denominator for d in table.values())), "the space's")
         whole = {key: d.numerator * (scale // d.denominator) for key, d in table.items()}
-        scaled = {(a, b): (d, whole[a, base] + whole[base, b]) for (a, b), d in whole.items()}
+        signed = [(p, s) for p in points for s in (1, -1)]
+        scaled = [
+            [whole[p, q] if s != r else whole[p, base] + whole[base, q] for q, r in signed] for p, s in signed
+        ]
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "signed", {x: i for i, x in enumerate(signed)})
         object.__setattr__(self, "scaled", scaled)
         object.__setattr__(self, "table_scale", scale)
 
@@ -146,16 +155,19 @@ class FiniteSpace(Value):
         except KeyError:
             raise ValueError(f"no distance for pair ({a}, {b})") from None
 
-    def integer_costs(self, letters: Sequence[tuple[str, int]]) -> tuple[list, list, int]:
-        """(fix, pair, scale) of letters (point, sign), read from
-        ``scaled``; the scale is ``table_scale``, whatever the letters."""
+    def integer_costs(self, letters: Sequence["Letter"]) -> tuple[list, list, int]:
+        """(fix, pair, scale) of a word's letters, read from each letter's
+        row of ``scaled``: the fix cost in the base letter's column, since
+        d~(x, e^-1) = d~(x, e); the scale is ``table_scale``, whatever the
+        letters."""
         try:
-            fix = [self.scaled[p, self.base][0] for p, _ in letters]
-            pair = [[self.scaled[p, q][s == r] for q, r in letters] for p, s in letters]
+            at = [self.signed[x.point, x.sign] for x in letters]
         except (KeyError, TypeError):
-            bad = next(p for p, _ in letters if p not in self.points)
+            bad = next(x.point for x in letters if x.point not in self.points)
             raise ValueError(f"letter point {bad!r} is not in the space") from None
-        return fix, pair, self.table_scale
+        e = self.signed[self.base, 1]
+        rows = [self.scaled[i] for i in at]
+        return [row[e] for row in rows], [[row[j] for j in at] for row in rows], self.table_scale
 
     @staticmethod
     def from_table(
@@ -228,7 +240,7 @@ def tilde_dist(a: "Letter", b: "Letter", space: Space) -> Fraction:
     sign-insensitive.  It is the space's ``integer_costs`` pair cost of a
     and b^-1 over its scale.
     """
-    _, pair, scale = space.integer_costs(((a.point, a.sign), (b.point, -b.sign)))
+    _, pair, scale = space.integer_costs((a, b.inverse()))
     return Fraction(pair[0][1], scale)
 
 

@@ -43,7 +43,6 @@ from .norm import (
     enumerate_sigma,
     graev_metric,
     graev_norm,
-    integer_costs,
     is_sigma,
     noncrossing_involutions,
     norm_bruteforce,
@@ -275,11 +274,11 @@ def words_suite(seed: int, cases: int) -> list[PropertyResult]:
 
 
 def _tilde_table(letters: Sequence[Letter], space: Space) -> tuple[list[list[int]], int]:
-    """d~ between every two of ``letters``, from one ``integer_costs`` call
-    over them and their inverses: (table, scale), ``table[s][t]`` being
-    d~(x_s, x_t) times the scale."""
+    """d~ between every two of ``letters``, from one call of the space's
+    ``integer_costs`` over them and their inverses: (table, scale),
+    ``table[s][t]`` being d~(x_s, x_t) times the scale."""
     k = len(letters)
-    _, pair, scale = integer_costs([*letters, *(x.inverse() for x in letters)], space)
+    _, pair, scale = space.integer_costs([*letters, *(x.inverse() for x in letters)])
     return [row[k:] for row in pair[:k]], scale
 
 
@@ -368,7 +367,7 @@ def oracle_suite(seed: int, cases: int) -> list[PropertyResult]:
         value, matching = norm_dp(w, space)
         if len(w) and not is_sigma(matching.map):
             return f"dp matching not in the class on '{format_word(w)}'"
-        fix, pair, scale = integer_costs(w.letters, space)
+        fix, pair, scale = space.integer_costs(w.letters)
         paid = sum(pair[i - 1][j - 1] for i, j in matching.pairs()) + sum(fix[i - 1] for i in matching.fixed())
         recomputed = Fraction(paid, scale)
         if recomputed != value:
@@ -438,7 +437,7 @@ def norm_suite(seed: int, cases: int) -> list[PropertyResult]:
 
     def upper_bound_check(rng, space):
         w = random_any_word(rng, space, 8)
-        fix, _, scale = integer_costs(w.letters, space)
+        fix, _, scale = space.integer_costs(w.letters)
         bound = Fraction(sum(fix), scale)
         if norm_dp(w, space)[0] > bound:
             return f"norm above the letter-sum bound on '{format_word(w)}'"

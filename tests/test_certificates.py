@@ -23,7 +23,7 @@ from graev.certificates import (
     word_power,
 )
 from graev.maps import PointMap
-from graev.norm import graev_norm, integer_costs, norm_dp
+from graev.norm import NORM_LENGTH_MAX, graev_norm, norm_dp
 from graev.spaces import INTERVAL, FiniteSpace, chain_space, star_space
 from graev.suite import (
     random_conjugate_product,
@@ -113,7 +113,7 @@ def _table_rule_decomposition(w, m):
     value, matching = norm_dp(w, space)
     if value >= m:
         return None
-    _, costs, _ = integer_costs(w.letters, space)
+    _, costs, _ = space.integer_costs(w.letters)
     matched = {pos for i, j in matching.pairs() if costs[i - 1][j - 1] == 0 for pos in (i, j)}
     factors = tuple(
         (free_reduce(Word(tuple(w[t - 1] for t in range(1, pos) if t in matched)), space.base), w[pos - 1])
@@ -470,6 +470,31 @@ def test_search_matches_the_reference_search():
     assert len(outcomes) == 4, "the grid must reach both verdicts on both kinds of space"
 
 
+def test_search_cancels_at_the_junction_of_the_products_it_stores():
+    # y^3 starts with the inverse of the letter x^3 ends with, so the stored
+    # product x^3 y^3 is right only if that junction cancels
+    x, y, z = (parse_word(text, STAR3) for text in ("e1 e2", "e2^-1 e3", "e3^-1 e1"))
+    target = free_reduce(Word(x.letters * 3 + y.letters * 3 + z.letters * 3), "e")
+    args = (target, Fraction(3), 3, 3, 2, STAR3)
+    expected = _reference_search(*args)
+    assert expected is not None and search_power_certificate(*args).bases == expected.bases
+
+
+@pytest.mark.parametrize("c", [Fraction(0), Fraction(-1, 2)])
+def test_search_refuses_a_radius_that_is_not_positive(c):
+    for target in ("e1 e1 e1", ""):
+        with pytest.raises(ValueError) as raised:
+            search_power_certificate(parse_word(target, STAR3), c, 3, 1, 1, STAR3)
+        assert str(raised.value) == f"the radius must be positive, got {c}"
+
+
+def test_search_raises_when_the_certificate_it_found_fails(monkeypatch):
+    # an explicit error, not an assert, so it survives python -O
+    monkeypatch.setattr(certificates, "power_certificate_failure", lambda p, space: "forced")
+    with pytest.raises(RuntimeError, match="^the search found a certificate that fails: forced$"):
+        search_power_certificate(parse_word("e1 e1 e1", STAR3), Fraction(2), 3, 1, 1, STAR3)
+
+
 def test_candidates_are_the_bases_of_norm_below_c():
     # the integer cost table must select exactly graev_norm < c, ties
     # included; the interval points have coprime denominators, so every
@@ -538,6 +563,35 @@ def test_search_refuses_budgets_over_the_candidate_word_limit():
         assert str(raised.value) == (
             f"base length {length} over {letters} signed letters is above the limit of {limit} candidate words"
         )
+
+
+def test_search_refuses_a_base_length_over_the_norm_length_cap():
+    # over one point the word count lets a length of up to 600 000 through,
+    # yet every candidate is normed
+    length = NORM_LENGTH_MAX + 1
+    for space, target in ((INTERVAL, "1/2 1/2 1/2"), (star_space(1), "e1 e1 e1")):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as raised:
+            search_power_certificate(parse_word(target, space), Fraction(1), 3, 1, length, space)
+        assert time.perf_counter() - start < 1
+        assert str(raised.value) == f"base length {length} is above the limit of {NORM_LENGTH_MAX} letters"
+
+
+@pytest.mark.parametrize("limit", [18, 17])
+def test_search_bounds_the_candidate_powers_before_building_them(monkeypatch, limit):
+    # the cubes of the six star3 letters, each of norm 1 < 2, have 18 letters
+    monkeypatch.setattr(certificates, "POWER_LETTERS_MAX", limit)
+    built = []
+    monkeypatch.setattr(certificates, "word_power", lambda *args: built.append(args) or word_power(*args))
+    target = parse_word("e1 e2", STAR3)
+    if limit == 18:
+        assert search_power_certificate(target, Fraction(2), 3, 1, 1, STAR3) is None
+        assert len(built) == 6
+    else:
+        with pytest.raises(ValueError) as raised:
+            search_power_certificate(target, Fraction(2), 3, 1, 1, STAR3)
+        assert str(raised.value) == "the candidate powers have 18 letters, above the limit of 17"
+        assert built == []
 
 
 def test_exponent_sum_examples():

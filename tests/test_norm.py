@@ -10,7 +10,6 @@ from graev.norm import (
     enumerate_sigma,
     graev_metric,
     graev_norm,
-    integer_costs,
     interval_fill,
     matching_to_json,
     norm_bruteforce,
@@ -171,13 +170,41 @@ def test_fill_weighs_only_splits_that_won_their_row():
         letter = random_letter(rng, INTERVAL)
         if not letters or letter != letters[-1].inverse():
             letters.append(letter)
-    fix, pair, _ = integer_costs(letters, INTERVAL)
+    fix, pair, _ = INTERVAL.integer_costs(letters)
     value, back = interval_fill([Counted(v) for v in fix], [[Counted(v) for v in row] for row in pair])
     assert (value, back) == _reference_fill(fix, pair, 0)
     # 13791 with the row-winner rule, C(j, j) = fix[j] taking none; keeping
     # every split t that passes pair[t][j] < fix[t] + fix[j], as the fill
     # once did, makes 26140
     assert adds <= 13791
+
+
+def _recover(back, k):
+    """The image array of the matching a choice table picks, recovered by
+    recursion: x_j unmatched in i..j, or paired with t, which leaves the
+    ranges t+1..j-1 and i..t-1."""
+    image = list(range(1, k + 1))
+
+    def walk(i, j):
+        while i <= j:
+            t = back[i][j]
+            if t >= 0:
+                image[t], image[j] = j + 1, t + 1
+                walk(t + 1, j - 1)
+                j = t
+            j -= 1
+
+    walk(0, k - 1)
+    return tuple(image)
+
+
+def test_dp_matching_is_the_one_the_reference_choice_table_picks():
+    for space, word in _cost_corpus():
+        value, matching = norm_dp(word, space)
+        fix, pair, scale = space.integer_costs(word.letters)
+        ref_value, back = _reference_fill(fix, pair, 0)
+        assert value == Fraction(ref_value, scale), word
+        assert matching.map == _recover(back, len(word)), word
 
 
 def test_dp_recovers_the_reference_fill_matchings(monkeypatch):
@@ -195,8 +222,12 @@ def test_single_generator_norm_is_its_base_distance():
 
 
 def test_empty_word_has_zero_norm():
-    assert norm_bruteforce(Word(()), STAR3) == 0
-    assert norm_dp(Word(()), INTERVAL)[0] == 0
+    # the rational 0 in every evaluator, not the int 0 a fill over no positions leaves
+    for space in FIVE_SPACES:
+        value, matching = norm_dp(Word(()), space)
+        assert type(value) is Fraction and value == 0 and matching.map == ()
+        for norm in (norm_bruteforce, graev_norm):
+            assert type(norm(Word(()), space)) is Fraction and norm(Word(()), space) == 0
 
 
 def test_conjugated_generator_costs_one():
@@ -260,7 +291,7 @@ def test_bruteforce_consumes_every_matching(monkeypatch):
 
 def test_integer_costs_cover_pair_only_denominators():
     letters = parse_word("a b^-1 a", TRIANGLE).letters
-    fix, pair, scale = integer_costs(letters, TRIANGLE)
+    fix, pair, scale = TRIANGLE.integer_costs(letters)
     assert scale == 3
     assert fix == [3, 3, 3]
     # the diagonal d~(x, x^-1) = 2 d~(x, e); a b^-1 b^-1 pays d(a, b) = 2/3
@@ -295,13 +326,55 @@ def _cost_corpus():
 
 def test_integer_costs_equal_the_reference_costs():
     for space, word in _cost_corpus():
-        fix, pair, scale = integer_costs(word.letters, space)
+        fix, pair, scale = space.integer_costs(word.letters)
         ref_fix, ref_pair, ref_scale = _reference_costs(word.letters, space)
         assert [Fraction(v, scale) for v in fix] == [Fraction(v, ref_scale) for v in ref_fix], word
         for row, ref_row in zip(pair, ref_pair, strict=True):
             assert [Fraction(v, scale) for v in row] == [Fraction(v, ref_scale) for v in ref_row], word
         if space is INTERVAL:  # the lcm of the letters' denominators, as before
             assert scale == ref_scale
+
+
+def _replaced_space_costs(space, letters):
+    """Each space's ``integer_costs`` as it was when it took distinct letters
+    (point, sign), kept verbatim but for the finite space's signed table,
+    which it built from its distances once."""
+    if space is INTERVAL:
+        scale = 1
+        for p, _ in letters:
+            if not space.contains(p):
+                raise ValueError(f"letter point {p!r} is not in the space")
+            scale = lcm(scale, p.denominator)
+        scale = check_scale(scale, "the letters'")
+        whole = [(p.numerator * (scale // p.denominator), s) for p, s in letters]
+        pair = [[abs(a - b) if s != r else a + b for b, r in whole] for a, s in whole]
+        return [a for a, _ in whole], pair, scale
+    base = space.base
+    scale = check_scale(lcm(*(d.denominator for d in space.table.values())), "the space's")
+    whole = {key: d.numerator * (scale // d.denominator) for key, d in space.table.items()}
+    scaled = {(a, b): (d, whole[a, base] + whole[base, b]) for (a, b), d in whole.items()}
+    try:
+        fix = [scaled[p, base][0] for p, _ in letters]
+        pair = [[scaled[p, q][s == r] for q, r in letters] for p, s in letters]
+    except (KeyError, TypeError):
+        bad = next(p for p, _ in letters if p not in space.points)
+        raise ValueError(f"letter point {bad!r} is not in the space") from None
+    return fix, pair, scale
+
+
+def _replaced_integer_costs(letters, space):
+    """``graev.norm.integer_costs`` as it was: the distinct letters of a word
+    indexed, their costs asked of the space and copied out to positions."""
+    index: dict[tuple, int] = {}
+    at = [index.setdefault((x.point, x.sign), len(index)) for x in letters]
+    fix, pair, scale = _replaced_space_costs(space, list(index))
+    return [fix[i] for i in at], [[pair[i][j] for j in at] for i in at], scale
+
+
+def test_space_costs_equal_the_replaced_distinct_letter_costs():
+    # the same integers over the same scale, position by position
+    for space, word in _cost_corpus():
+        assert space.integer_costs(word.letters) == _replaced_integer_costs(word.letters, space), word
 
 
 def test_value_only_norms_and_metrics_equal_norm_dp():
@@ -326,7 +399,7 @@ def test_integer_costs_do_no_fraction_arithmetic(monkeypatch):
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__abs__",
                  "_add", "_sub", "_mul"):
         monkeypatch.setattr(Fraction, name, refuse)
-    costs = [integer_costs(word.letters, space) for space, word in words]
+    costs = [space.integer_costs(word.letters) for space, word in words]
     monkeypatch.undo()
     assert costs == expected  # each scale here is the lcm of the costs' denominators
 
@@ -437,7 +510,7 @@ def test_pair_cost_is_orientation_free():
         space = SPACES[index % len(SPACES)]
         a = random_letter(rng, space, allow_base=True)
         b = random_letter(rng, space, allow_base=True)
-        _, pair, _ = integer_costs([a, b], space)
+        _, pair, _ = space.integer_costs([a, b])
         assert pair[0][1] == pair[1][0]
 
 
@@ -449,7 +522,7 @@ def test_fixed_cost_is_half_the_distance_to_the_inverse():
     for index in range(300):
         space = SPACES[index % len(SPACES)]
         a = random_letter(rng, space, allow_base=True)
-        fix, pair, _ = integer_costs([a], space)
+        fix, pair, _ = space.integer_costs([a])
         assert pair[0][0] == 2 * fix[0]
 
 

@@ -156,7 +156,7 @@ def test_integer_costs_match_the_reference_on_finite_spaces():
     # included: fix[t] is d~(x_t, e) and pair[t][j] is d~(x_t, x_j^-1)
     for space in (star_space(2), STAR3, chain_space(3), TRIANGLE):
         letters = signed_alphabet(space.points)
-        fix, pair, scale = space.integer_costs([(x.point, x.sign) for x in letters])
+        fix, pair, scale = space.integer_costs(letters)
         for t, a in enumerate(letters):
             assert Fraction(fix[t], scale) == _reference_tilde_dist(a, Letter(space.base), space), a
             for j, b in enumerate(letters):
@@ -202,7 +202,7 @@ def test_tilde_dist_rejects_a_foreign_point_in_either_place_as_before(space, ins
 def test_integer_costs_reject_a_foreign_point_as_tilde_dist_does(space, inside, foreign):
     for letters in ([(foreign, 1), (inside, -1)], [(inside, 1), (inside, -1), (foreign, -1)]):
         word = Word(tuple(Letter(p, s) for p, s in letters))
-        for call in (lambda: space.integer_costs(letters), lambda: norm_dp(word, space)):
+        for call in (lambda: space.integer_costs(word.letters), lambda: norm_dp(word, space)):
             assert _error(call) == f"letter point {foreign!r} is not in the space"
 
 

@@ -100,9 +100,10 @@ def test_values_differ_when_a_field_differs():
 
 def test_finite_space_signed_table_is_not_a_field():
     space = MAKERS["FiniteSpace"]()
-    for name in ("scaled", "table_scale"):
+    for name in ("signed", "scaled", "table_scale"):
         assert name not in repr(space) and name not in space._fields
-    assert space.scaled["a", "a"] == (0, 2) and space.table_scale == 1
+    row = space.scaled[space.signed["a", 1]]  # d~(a, y^-1) for each signed letter y
+    assert (row[space.signed["a", -1]], row[space.signed["a", 1]]) == (0, 2) and space.table_scale == 1
 
 
 def test_property_result_is_an_immutable_hashable_value():
