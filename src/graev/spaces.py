@@ -104,7 +104,7 @@ class IntervalSpace(Value):
         nums, dens = [], []
         for x in letters:
             p = x.point
-            # contains(p), reading the numerator and denominator once
+            # contains(p) reading the numerator and denominator once (a test keeps both alike)
             if not (isinstance(p, Fraction) and 0 <= (a := p.numerator) <= (q := p.denominator)):
                 raise ValueError(f"letter point {p!r} is not in the space")
             nums.append(x.sign * a)

@@ -78,12 +78,15 @@ def _search_words(above, monkeypatch, tmp_path):
     return _cli(*argv), f"base length 3 over 6 signed letters is above the limit of {186 - above} candidate words"
 
 
-def _search_base_length(above, monkeypatch, tmp_path):
+def _search_base_length(*target):
     # over one point a length adds only two candidate words, so only the
     # length of a normed word bounds the enumeration
-    length = NORM_LENGTH_MAX + above
-    argv = ("search", "1/2 1/2 1/2", "--c", "1", "--budget-factors", "1", "--budget-length", str(length))
-    return _cli(*argv), f"base length {length} is above the limit of {NORM_LENGTH_MAX} letters"
+    def case(above, monkeypatch, tmp_path):
+        length = NORM_LENGTH_MAX + above
+        argv = ("search", *target, "--c", "1", "--budget-factors", "1", "--budget-length", str(length))
+        return _cli(*argv), f"base length {length} is above the limit of {NORM_LENGTH_MAX} letters"
+
+    return case
 
 
 def _search_powers(above, monkeypatch, tmp_path):
@@ -102,7 +105,8 @@ LIMITS = {
     "POWER_EXPONENT_MAX": _power_exponent,
     "POWER_LETTERS_MAX": _power_letters,
     "SEARCH_WORDS_MAX": _search_words,
-    "search-base-length": _search_base_length,
+    "search-base-length": _search_base_length("1/2 1/2 1/2"),
+    "search-base-length-star1": _search_base_length("--space", "lemma32-m1", "e1 e1 e1"),
     "search-candidate-powers": _search_powers,
 }
 

@@ -211,6 +211,13 @@ def test_interval_membership_is_the_closed_unit_segment():
         for p in range(-q - 1, 2 * q + 2):
             x = Fraction(p, q)
             assert INTERVAL.contains(x) == (0 <= x <= 1)
+            # integer_costs keeps its own copy of the rule
+            try:
+                INTERVAL.integer_costs([Letter(x)])
+            except ValueError:
+                assert not INTERVAL.contains(x)
+            else:
+                assert INTERVAL.contains(x)
     assert not INTERVAL.contains(1) and not INTERVAL.contains("0")
 
 

@@ -22,10 +22,10 @@ there is rewritten with the mutated function in place of the original (the
 rest of the file byte for byte), and the pytest arguments after ``--`` run
 in one process, stopping at the first failure.  A mutant that passes them
 survives; one that fails, runs ten times as long as the unmutated copy
-plus 10 s, or asks for more than 1 GB of address space is killed.  The unmutated copy runs first and must pass.  The report lists every survivor
-with its line and change, then the score; the exit code is 1 if any mutant
-survived.  ``--limit`` runs only the first mutants, ``--list`` only lists
-them.
+plus 10 s, or asks for more than 1 GB of address space is killed.  The unmutated
+copy runs first and must pass.  The report lists every survivor with its
+line and change, then the score; the exit code is 1 if any mutant
+survived.  ``--limit`` runs only the first mutants.
 """
 
 from __future__ import annotations
@@ -158,9 +158,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("module", help="the module to mutate, relative to the repository root")
     parser.add_argument("functions", nargs="+", help="functions to mutate, Class.method for a method")
     parser.add_argument("--limit", type=int, default=None, help="run at most this many mutants")
-    parser.add_argument("--list", action="store_true", help="list the mutants and run none")
     opts = parser.parse_args(args)
-    if not pytest_args and not opts.list:
+    if not pytest_args:
         parser.error("give the pytest arguments after --")
 
     module = Path(opts.module)
@@ -173,10 +172,6 @@ def main(argv: list[str] | None = None) -> int:
         for index, what, change in _sites(func):
             mutants.append((f"{module.name}:{what} in {name}", func, index, change))
     mutants = mutants[: opts.limit]
-    if opts.list:
-        for what, *_ in mutants:
-            print(what)
-        return 0
 
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         work = Path(tmp)
