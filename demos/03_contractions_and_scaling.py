@@ -19,7 +19,7 @@ from graev import (
 
 # A base-preserving point map extends letterwise to a group endomorphism.
 star = star_space(3)
-swap = PointMap.from_table(star, star, {"e": "e", "e1": "e2", "e2": "e1", "e3": "e"})
+swap = PointMap(star, star, "table", table={"e": "e", "e1": "e2", "e2": "e1", "e3": "e"})
 w = parse_word("e1 e3 e2^-1", star)
 print("word:      ", format_word(w))
 print("image:     ", format_word(extend_endomorphism(swap, w)))

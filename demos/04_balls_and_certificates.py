@@ -41,7 +41,7 @@ print("\nfound certificate:", power_certificate_to_json(cert))
 print("verifies:", power_certificate_failure(cert, INTERVAL) is None)
 
 # Contractions transport certificates: scaled bases stay inside the ball.
-halved = transport_certificate(cert, PointMap.scaling(Fraction(1, 2)))
+halved = transport_certificate(cert, PointMap(INTERVAL, INTERVAL, "affine", scale=Fraction(1, 2)))
 print("transported:", power_certificate_to_json(halved))
 print("still verifies:", power_certificate_failure(halved, INTERVAL) is None)
 

@@ -54,7 +54,6 @@ _EXPORTS = {
         "resolve_space",
         "star_space",
         "tilde_dist",
-        "validate_metric",
     ),
     "words": (
         "Letter",

@@ -5,6 +5,10 @@ with the base point going to the base point; it extends letterwise to a
 group homomorphism on words.  Contractions (maps that do not increase any
 distance) never increase the word norm, and exact-scaling maps multiply it
 by their factor; both facts are exercised by the suite rather than assumed.
+Each value class here checks its arguments in its one constructor: a
+``PointMap`` that does not fix the base point, a ``PartialContraction``
+that is not 1-Lipschitz and a ``BasisTranslation`` that is not a bijective
+basis correspondence raise ValueError when built, copies included.
 
 Also here: piecewise-linear extension of a partial contraction given on a
 finite subset of [0, 1], the grid-to-chain rescaling map, and basis changes:
@@ -36,8 +40,10 @@ class PointMap(Value):
     """A base-point-preserving map between pointed metric spaces.
 
     Three backings: a finite ``table`` of point images, an ``affine`` rule
-    t -> scale*t on the interval, or a ``piecewise`` linear rule given by
-    breakpoints covering [0, 1].
+    t -> scale*t on the interval with 0 <= scale <= 1, or a ``piecewise``
+    linear self-map of the interval given by breakpoints covering [0, 1].
+    The constructor checks the backing, that the map is a self-map of [0, 1]
+    unless it is a table, and that the base point goes to the base point.
     """
 
     __slots__ = _fields = ("domain", "codomain", "kind", "table", "scale", "breakpoints")
@@ -49,52 +55,46 @@ class PointMap(Value):
         kind: str,
         table: Optional[Mapping[Point, Point]] = None,
         scale: Optional[Fraction] = None,
-        breakpoints: Optional[tuple[tuple[Fraction, Fraction], ...]] = None,
+        breakpoints: Optional[Sequence[tuple[Fraction, Fraction]]] = None,
     ) -> None:
         backing = {TABLE: table, AFFINE: scale, PIECEWISE: breakpoints}
         if kind not in backing:
             raise ValueError(f"unknown point-map kind {kind!r}")
         if backing[kind] is None:
             raise ValueError(f"a point map of kind {kind!r} needs its {kind} data")
-        if table is not None:
+        if sum(value is not None for value in backing.values()) > 1:
+            raise ValueError(f"a point map of kind {kind!r} takes no other kind's data")
+        if kind == TABLE:
             table = FrozenTable(table)
+            if domain.base not in table:
+                raise ValueError("table does not define the image of the base point")
+            if table[domain.base] != codomain.base:
+                raise ValueError("map must send base point to base point")
+            for p, q in table.items():
+                if not domain.contains(p):
+                    raise ValueError(f"table key {p!r} is not in the domain")
+                if not codomain.contains(q):
+                    raise ValueError(f"table value {q!r} is not in the codomain")
+        elif domain != INTERVAL or codomain != INTERVAL:
+            raise ValueError(f"a point map of kind {kind!r} is a self-map of [0, 1]")
+        elif kind == AFFINE:
+            if not 0 <= scale <= 1:
+                raise ValueError("affine self-map of [0, 1] needs 0 <= scale <= 1")
+            scale = Fraction(scale)
+        else:
+            breakpoints = tuple((Fraction(x), Fraction(y)) for x, y in breakpoints)
+            if not breakpoints or breakpoints[0][0] != 0 or breakpoints[-1][0] != 1:
+                raise ValueError("breakpoints must start at x = 0 and end at x = 1")
+            for (x0, _), (x1, _) in zip(breakpoints, breakpoints[1:]):
+                if x1 <= x0:
+                    raise ValueError("breakpoint positions must increase strictly")
+            for _, y in breakpoints:
+                if not 0 <= y <= 1:
+                    raise ValueError("breakpoint values must lie in [0, 1]")
+            if breakpoints[0][1] != 0:
+                raise ValueError("map must send base point to base point")
         for name, value in zip(self._fields, (domain, codomain, kind, table, scale, breakpoints)):
             object.__setattr__(self, name, value)
-
-    @staticmethod
-    def from_table(domain: Space, codomain: Space, table: Mapping[Point, Point]) -> "PointMap":
-        if domain.base not in table:
-            raise ValueError("table does not define the image of the base point")
-        if table[domain.base] != codomain.base:
-            raise ValueError("map must send base point to base point")
-        for p, q in table.items():
-            if not domain.contains(p):
-                raise ValueError(f"table key {p!r} is not in the domain")
-            if not codomain.contains(q):
-                raise ValueError(f"table value {q!r} is not in the codomain")
-        return PointMap(domain, codomain, TABLE, table=table)
-
-    @staticmethod
-    def scaling(scale: Fraction) -> "PointMap":
-        """t -> scale*t on [0, 1]; a contraction exactly when scale <= 1."""
-        if not 0 <= scale <= 1:
-            raise ValueError("affine self-map of [0, 1] needs 0 <= scale <= 1")
-        return PointMap(INTERVAL, INTERVAL, AFFINE, scale=Fraction(scale))
-
-    @staticmethod
-    def piecewise(breakpoints: Sequence[tuple[Fraction, Fraction]]) -> "PointMap":
-        pts = tuple((Fraction(x), Fraction(y)) for x, y in breakpoints)
-        if not pts or pts[0][0] != 0 or pts[-1][0] != 1:
-            raise ValueError("breakpoints must start at x = 0 and end at x = 1")
-        for (x0, _), (x1, _) in zip(pts, pts[1:]):
-            if x1 <= x0:
-                raise ValueError("breakpoint positions must increase strictly")
-        for _, y in pts:
-            if not 0 <= y <= 1:
-                raise ValueError("breakpoint values must lie in [0, 1]")
-        if pts[0][1] != 0:
-            raise ValueError("map must send base point to base point")
-        return PointMap(INTERVAL, INTERVAL, PIECEWISE, breakpoints=pts)
 
     def apply(self, p: Point) -> Point:
         if self.kind == TABLE:
@@ -124,9 +124,11 @@ def extend_endomorphism(h: PointMap, w: Word) -> Word:
 def check_contraction(h: PointMap) -> bool:
     """True iff the map provably never increases a distance.
 
-    Finite tables are checked exhaustively over key pairs; affine rules by
-    their slope; piecewise rules by every segment slope (sufficient and
-    exact for continuous piecewise-linear maps).
+    Finite tables are checked exhaustively over key pairs; piecewise rules
+    by every segment slope (sufficient and exact for continuous
+    piecewise-linear maps); an affine rule is a contraction by construction,
+    as its scale lies in [0, 1].  Every map fixes the base point by
+    construction, so a contraction never increases a word's norm.
     """
     if h.kind == TABLE:
         keys = sorted(h.table, key=str)
@@ -135,7 +137,7 @@ def check_contraction(h: PointMap) -> bool:
                 return False
         return True
     if h.kind == AFFINE:
-        return abs(h.scale) <= 1
+        return True
     for (x0, y0), (x1, y1) in zip(h.breakpoints, h.breakpoints[1:]):
         if abs(y1 - y0) > x1 - x0:
             return False
@@ -183,7 +185,7 @@ def extend_partial_contraction(p: PartialContraction) -> PointMap:
     breakpoints = list(zip(p.points, p.values))
     if p.points[-1] != 1:
         breakpoints.append((Fraction(1), p.values[-1]))
-    return PointMap.piecewise(breakpoints)
+    return PointMap(INTERVAL, INTERVAL, PIECEWISE, breakpoints=breakpoints)
 
 
 def scaling_norm_law(gamma: Fraction, w: Word) -> tuple[Fraction, Fraction]:
@@ -193,7 +195,7 @@ def scaling_norm_law(gamma: Fraction, w: Word) -> tuple[Fraction, Fraction]:
     """
     if not 0 < gamma <= 1:
         raise ValueError("scaling factor must satisfy 0 < gamma <= 1")
-    image = extend_endomorphism(PointMap.scaling(gamma), w)
+    image = extend_endomorphism(PointMap(INTERVAL, INTERVAL, AFFINE, scale=gamma), w)
     return graev_norm(image, INTERVAL), gamma * graev_norm(w, INTERVAL)
 
 
@@ -206,7 +208,7 @@ def grid_map(m: int) -> PointMap:
     table: dict[Point, Point] = {Fraction(0): "e"}
     for k in range(1, m + 1):
         table[Fraction(k, m)] = f"f{k}"
-    return PointMap.from_table(INTERVAL, target, table)
+    return PointMap(INTERVAL, target, TABLE, table=table)
 
 
 def rescale_grid_word(m: int, w: Word) -> Word:
@@ -230,6 +232,15 @@ class BasisTranslation(Value):
         a_to_b: Mapping[Point, Word],
         b_to_a: Mapping[Point, Word],
     ) -> None:
+        if not isinstance(space_a, FiniteSpace) or not isinstance(space_b, FiniteSpace):
+            raise ValueError("cross-basis checks need two finite spaces")
+        directions = ((space_a, space_b, a_to_b, b_to_a), (space_b, space_a, b_to_a, a_to_b))
+        if any(set(there) != set(source.generators) for source, _, there, _ in directions):
+            raise ValueError("translation is not a bijective basis correspondence")
+        for source, target, there, back in directions:
+            for gen in source.generators:
+                if translate_word(there[gen], back, target.base, source.base) != Word((Letter(gen),)):
+                    raise ValueError("translation is not a bijective basis correspondence")
         object.__setattr__(self, "space_a", space_a)
         object.__setattr__(self, "space_b", space_b)
         object.__setattr__(self, "a_to_b", a_to_b)
@@ -249,20 +260,6 @@ def translate_word(w: Word, mapping: Mapping[Point, Word], source_base: Point, t
             image = invert_word(image)
         out.extend(image.letters)
     return free_reduce(Word(tuple(out)), target_base)
-
-
-def validate_translation(tr: BasisTranslation) -> None:
-    """Raise unless the substitutions are a bijective basis correspondence."""
-    sa, sb = tr.space_a, tr.space_b
-    if not isinstance(sa, FiniteSpace) or not isinstance(sb, FiniteSpace):
-        raise ValueError("cross-basis checks need two finite spaces")
-    directions = ((sa, sb, tr.a_to_b, tr.b_to_a), (sb, sa, tr.b_to_a, tr.a_to_b))
-    if any(set(there) != set(source.generators) for source, _, there, _ in directions):
-        raise ValueError("translation is not a bijective basis correspondence")
-    for source, target, there, back in directions:
-        for gen in source.generators:
-            if translate_word(there[gen], back, target.base, source.base) != Word((Letter(gen),)):
-                raise ValueError("translation is not a bijective basis correspondence")
 
 
 def triangular_translation(m: int) -> BasisTranslation:
@@ -286,7 +283,6 @@ def check_cross_extension(tr: BasisTranslation, samples: Sequence[Word]) -> bool
     holds, every unordered pair from ``samples`` (words over
     ``tr.space_a``) must get the same distance in both extensions.
     """
-    validate_translation(tr)  # both spaces are finite from here on
     s1, s2 = tr.space_a, tr.space_b
 
     for source, target, mapping in ((s2, s1, tr.b_to_a), (s1, s2, tr.a_to_b)):
@@ -319,14 +315,15 @@ def map_to_json(h: PointMap) -> dict:
 def map_from_json(data: dict, space: Space) -> PointMap:
     """Decode a point map; finite tables are read over ``space``."""
     if "scale" in data:
-        return PointMap.scaling(parse_rational(data["scale"]))
+        return PointMap(INTERVAL, INTERVAL, AFFINE, scale=parse_rational(data["scale"]))
     if "breakpoints" in data:
         raw = json_field(
             data, "map", "breakpoints",
             lambda v: isinstance(v, list) and all(isinstance(b, list) and len(b) == 2 for b in v),
             "a list of [x, y] pairs",
         )
-        return PointMap.piecewise([(parse_rational(x), parse_rational(y)) for x, y in raw])
+        breakpoints = [(parse_rational(x), parse_rational(y)) for x, y in raw]
+        return PointMap(INTERVAL, INTERVAL, PIECEWISE, breakpoints=breakpoints)
     if "map" in data:
         raw = json_field(
             data, "map", "map",
@@ -342,7 +339,7 @@ def map_from_json(data: dict, space: Space) -> PointMap:
             table[lp[0].point] = lq[0].point
         if space.base not in table:
             table[space.base] = space.base
-        return PointMap.from_table(space, space, table)
+        return PointMap(space, space, TABLE, table=table)
     raise ValueError("map file needs one of 'map', 'scale' or 'breakpoints'")
 
 

@@ -3,7 +3,11 @@
 Two backings are supported.  A finite space stores a full symmetric table of
 nonnegative rationals over named points (one of which is the base point); the
 interval space is the rational segment [0, 1] with base point 0 and
-d(x, y) = |x - y|.
+d(x, y) = |x - y|.  ``FiniteSpace`` has one constructor, and it checks: it
+takes each distance in either order, closes the table under symmetry, and
+raises ValueError on a missing, conflicting or unknown pair or a violated
+metric axiom, so every finite space, a copy or a decoded file included, is
+a metric.
 
 The point metric extends to signed letters: d~ is d(x, y) for equal signs
 and d(x, e) + d(e, y) for opposite signs.  Each space computes d~ in one
@@ -127,7 +131,33 @@ class FiniteSpace(Value):
     def __init__(
         self, base: str, points: tuple[str, ...], table: Mapping[tuple[str, str], Fraction]
     ) -> None:
-        table = FrozenTable(table)
+        """Distances given in either order, closed under symmetry, with
+        d(p, p) = 0 added; every pair and the metric axioms are checked, so a
+        violation raises ValueError, on copies and pickles too."""
+        if base not in points:
+            raise ValueError(f"base point {base!r} is not among the points")
+        if len(set(points)) != len(points):
+            raise ValueError("duplicate point names")
+        full = {(p, p): Fraction(0) for p in points}
+        for (a, b), value in table.items():
+            if a not in points or b not in points:
+                raise ValueError(f"distance entry ({a}, {b}) names an unknown point")
+            for key in ((a, b), (b, a)):
+                if key in full and full[key] != value:
+                    raise ValueError(f"conflicting distances for pair {key}")
+                full[key] = Fraction(value)
+        for a, b in itertools.combinations(points, 2):
+            if (a, b) not in full:
+                raise ValueError(f"missing distance for pair ({a}, {b})")
+        for a, b in itertools.combinations(points, 2):
+            if full[a, b] < 0:
+                raise ValueError(f"not a metric: nonnegativity violated at ({a}, {b})")
+            if full[a, b] == 0:
+                raise ValueError(f"not a metric: identity violated at ({a}, {b})")
+        for a, via, b in itertools.permutations(points, 3):
+            if full[a, b] > full[a, via] + full[via, b]:
+                raise ValueError(f"not a metric: triangle violated at ({a}, {via}, {b})")
+        points, table = tuple(points), FrozenTable(full)
         scale = check_scale(lcm(*(d.denominator for d in table.values())), "the space's")
         whole = {key: d.numerator * (scale // d.denominator) for key, d in table.items()}
         signed = [(p, s) for p in points for s in (1, -1)]
@@ -169,67 +199,10 @@ class FiniteSpace(Value):
         rows = [self.scaled[i] for i in at]
         return [row[e] for row in rows], [[row[j] for j in at] for row in rows], self.table_scale
 
-    @staticmethod
-    def from_table(
-        base: str, points: tuple[str, ...], entries: Mapping[tuple[str, str], Fraction]
-    ) -> "FiniteSpace":
-        """Build from off-diagonal entries; symmetric closure is applied and
-        the metric axioms are checked, so a violation raises ValueError."""
-        if base not in points:
-            raise ValueError(f"base point {base!r} is not among the points")
-        if len(set(points)) != len(points):
-            raise ValueError("duplicate point names")
-        table: dict[tuple[str, str], Fraction] = {}
-        for p in points:
-            table[(p, p)] = Fraction(0)
-        for (a, b), value in entries.items():
-            if a not in points or b not in points:
-                raise ValueError(f"distance entry ({a}, {b}) names an unknown point")
-            for key in ((a, b), (b, a)):
-                if key in table and table[key] != value:
-                    raise ValueError(f"conflicting distances for pair {key}")
-                table[key] = Fraction(value)
-        for a, b in itertools.combinations(points, 2):
-            if (a, b) not in table:
-                raise ValueError(f"missing distance for pair ({a}, {b})")
-        space = FiniteSpace(base=base, points=tuple(points), table=table)
-        violation = validate_metric(space)
-        if violation is not None:
-            raise ValueError(f"not a metric: {violation}")
-        return space
-
 
 Space = Union[IntervalSpace, FiniteSpace]
 
 INTERVAL = IntervalSpace()
-
-
-def validate_metric(space: Space) -> Optional[str]:
-    """None when all metric axioms hold, else the violation, as
-    ``<axiom> violated at (<points>)``.
-
-    The interval space satisfies the axioms by construction.  Finite tables
-    are checked exhaustively: nonnegativity, d(a,b) = 0 iff a = b, symmetry,
-    and the triangle inequality over all triples.
-    """
-    if not isinstance(space, FiniteSpace):
-        return None  # the interval
-    pts = space.points
-    for a in pts:
-        if space.table[(a, a)] != 0:
-            return f"identity violated at ({a}, {a})"
-    for a, b in itertools.combinations(pts, 2):
-        d = space.table[(a, b)]
-        if d < 0:
-            return f"nonnegativity violated at ({a}, {b})"
-        if d == 0:
-            return f"identity violated at ({a}, {b})"
-        if d != space.table[(b, a)]:
-            return f"symmetry violated at ({a}, {b})"
-    for a, via, b in itertools.permutations(pts, 3):
-        if space.table[(a, b)] > space.table[(a, via)] + space.table[(via, b)]:
-            return f"triangle violated at ({a}, {via}, {b})"
-    return None
 
 
 def tilde_dist(a: "Letter", b: "Letter", space: Space) -> Fraction:
@@ -261,7 +234,7 @@ def star_space(m: int) -> FiniteSpace:
         entries[("e", f"e{i}")] = Fraction(1)
         for j in range(i + 1, m + 1):
             entries[(f"e{i}", f"e{j}")] = Fraction(2)
-    return FiniteSpace.from_table("e", points, entries)
+    return FiniteSpace("e", points, entries)
 
 
 @lru_cache(maxsize=None)
@@ -274,7 +247,7 @@ def chain_space(m: int) -> FiniteSpace:
         entries[("e", f"f{i}")] = Fraction(i)
         for j in range(i + 1, m + 1):
             entries[(f"f{i}", f"f{j}")] = Fraction(j - i)
-    return FiniteSpace.from_table("e", points, entries)
+    return FiniteSpace("e", points, entries)
 
 
 def space_to_json(space: Space) -> dict:
@@ -311,7 +284,7 @@ def space_from_json(data: dict) -> Space:
         if len(parts) != 2:
             raise ValueError(f"bad distance key {key!r}, expected 'a,b'")
         entries[(parts[0], parts[1])] = parse_rational(value)
-    return FiniteSpace.from_table(base, tuple(points), entries)
+    return FiniteSpace(base, points, entries)
 
 
 def read_json(path: str, kind: str) -> dict:

@@ -28,6 +28,8 @@ from .certificates import (
     word_power,
 )
 from .maps import (
+    AFFINE,
+    TABLE,
     PartialContraction,
     PointMap,
     check_contraction,
@@ -175,9 +177,9 @@ def random_contraction(rng: random.Random, space: Space) -> PointMap:
         table = {space.base: space.base}
         for g in space.generators:
             table[g] = rng.choice(space.points)
-        return PointMap.from_table(space, space, table)
+        return PointMap(space, space, TABLE, table=table)
     if rng.random() < 0.4:
-        return PointMap.scaling(random_rational(rng, max_den=8))
+        return PointMap(INTERVAL, INTERVAL, AFFINE, scale=random_rational(rng, max_den=8))
     return extend_partial_contraction(random_partial_contraction(rng))
 
 

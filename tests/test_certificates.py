@@ -157,8 +157,21 @@ def test_verify_rejects_too_many_factors():
         target=parse_word("e1 e2", STAR2),
         factors=((Word(()), Letter("e1")), (Word(()), Letter("e2"))),
     )
-    failure = conjugate_decomposition_failure(bad)
-    assert failure is not None and "factor count" in failure
+    assert conjugate_decomposition_failure(bad) == "factor count 2 exceeds m - 1 = 1"
+    none = ConjugateDecomposition(m=0, target=Word(()), factors=())
+    assert conjugate_decomposition_failure(none) == "m must be at least 1, got 0"
+
+
+def test_verify_names_a_letter_outside_the_alphabet():
+    # over the star space of rank 3, e4 is no letter; each place is checked
+    e1, e4 = Letter("e1"), Letter("e4", -1)
+    cases = [
+        (Word((e4,)), ((Word(), e1),), "target letter e4^-1 is outside the alphabet"),
+        (Word((e1,)), ((Word((e1, e4)), e1),), "conjugator letter e4^-1 is outside the alphabet"),
+        (Word((e1,)), ((Word(), e1), (Word((e1,)), e4)), "factor letter e4^-1 is outside the alphabet"),
+    ]
+    for target, factors, message in cases:
+        assert conjugate_decomposition_failure(ConjugateDecomposition(3, target, factors)) == message
 
 
 def test_verify_accepts_empty_decomposition():
@@ -259,7 +272,7 @@ def test_transport_along_halving_map():
         target=parse_word("2/5 2/5 2/5", INTERVAL),
         bases=(parse_word("2/5", INTERVAL),),
     )
-    moved = transport_certificate(cert, PointMap.scaling(Fraction(1, 2)))
+    moved = transport_certificate(cert, PointMap(INTERVAL, INTERVAL, "affine", scale=Fraction(1, 2)))
     assert moved.bases == (parse_word("1/5", INTERVAL),)
     assert moved.target == parse_word("1/5 1/5 1/5", INTERVAL)
     assert power_certificate_failure(moved, INTERVAL) is None
@@ -272,7 +285,7 @@ def test_transport_along_identity_is_trivial():
         target=parse_word("2/5 2/5 2/5", INTERVAL),
         bases=(parse_word("2/5", INTERVAL),),
     )
-    moved = transport_certificate(cert, PointMap.scaling(Fraction(1)))
+    moved = transport_certificate(cert, PointMap(INTERVAL, INTERVAL, "affine", scale=Fraction(1)))
     assert moved == cert
 
 
@@ -284,7 +297,7 @@ def test_transport_along_collapse_gives_trivial_certificate():
         target=word_power(parse_word("e1", space), 3, "e"),
         bases=(parse_word("e1", space),),
     )
-    collapse = PointMap.from_table(space, space, {p: "e" for p in space.points})
+    collapse = PointMap(space, space, "table", table={p: "e" for p in space.points})
     moved = transport_certificate(cert, collapse)
     assert moved.bases == (Word(()),)
     assert moved.target == Word(())
@@ -293,8 +306,8 @@ def test_transport_along_collapse_gives_trivial_certificate():
 
 def test_transport_requires_a_contraction():
     cert = PowerCertificate(n=3, c=Fraction(1), target=Word(()), bases=())
-    doubling = PointMap.piecewise(
-        [(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(1))]
+    doubling = PointMap(
+        INTERVAL, INTERVAL, "piecewise", breakpoints=[(0, 0), (Fraction(1, 2), 1), (1, 1)]
     )
     with pytest.raises(ValueError, match="contraction"):
         transport_certificate(cert, doubling)
@@ -305,7 +318,7 @@ def test_transport_requires_a_valid_certificate():
         n=3, c=Fraction(1, 3), target=parse_word("2/5 2/5 2/5", INTERVAL), bases=(parse_word("2/5", INTERVAL),)
     )
     with pytest.raises(ValueError, match="does not verify"):
-        transport_certificate(bad, PointMap.scaling(Fraction(1, 2)))
+        transport_certificate(bad, PointMap(INTERVAL, INTERVAL, "affine", scale=Fraction(1, 2)))
 
 
 def test_transported_random_certificates_verify():
@@ -501,7 +514,7 @@ def test_candidates_are_the_bases_of_norm_below_c():
     # cost denominator counts towards the scale, and the pair a b^-1 of the
     # triangle costs d(a, b) = 2/3, a denominator no fixed cost has
     distances = {("e", "a"): Fraction(1), ("e", "b"): Fraction(1), ("a", "b"): Fraction(2, 3)}
-    triangle = FiniteSpace.from_table("e", ("e", "a", "b"), distances)
+    triangle = FiniteSpace("e", ("e", "a", "b"), distances)
     cases = (
         (triangle, ["a", "b"], 3),
         (STAR2, [p for p in STAR2.points if p != "e"], 4),

@@ -890,7 +890,7 @@ def test_removed_options_are_usage_errors(capsys, argv):
 def test_every_exported_name_resolves():
     import graev
 
-    assert len(graev.__all__) == len(set(graev.__all__)) == 44
+    assert len(graev.__all__) == len(set(graev.__all__)) == 43
     for name in graev.__all__:
         value = getattr(graev, name)
         module = importlib.import_module(f"graev.{graev._MODULE_OF[name]}")

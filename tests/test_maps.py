@@ -20,7 +20,6 @@ from graev.maps import (
     scaling_norm_law,
     translate_word,
     triangular_translation,
-    validate_translation,
 )
 from graev.norm import graev_norm
 from graev.spaces import INTERVAL, FiniteSpace, chain_space, star_space
@@ -34,34 +33,38 @@ def frac(text):
     return Fraction(text)
 
 
+def _scaling(scale):
+    return PointMap(INTERVAL, INTERVAL, "affine", scale=scale)
+
+
 def test_identity_map_fixes_words():
-    h = PointMap.scaling(Fraction(1))
+    h = _scaling(Fraction(1))
     word = parse_word("2/5 4/5^-1", INTERVAL)
     assert extend_endomorphism(h, word) == word
 
 
 def test_halving_map_scales_letterwise():
-    h = PointMap.scaling(frac("1/2"))
+    h = _scaling(frac("1/2"))
     word = parse_word("2/5 4/5^-1", INTERVAL)
     assert extend_endomorphism(h, word) == parse_word("1/5 2/5^-1", INTERVAL)
 
 
 def test_collapse_map_kills_every_word():
     table = {p: "e" for p in STAR3.points}
-    h = PointMap.from_table(STAR3, STAR3, table)
+    h = PointMap(STAR3, STAR3, "table", table=table)
     assert extend_endomorphism(h, parse_word("e1 e2^-1 e3", STAR3)) == Word(())
 
 
 def test_inverse_letters_map_to_inverse_images():
     table = {"e": "e", "e1": "e2", "e2": "e1", "e3": "e3"}
-    h = PointMap.from_table(STAR3, STAR3, table)
+    h = PointMap(STAR3, STAR3, "table", table=table)
     assert extend_endomorphism(h, parse_word("e1^-1", STAR3)) == parse_word("e2^-1", STAR3)
 
 
 def test_extension_is_a_homomorphism():
     rng = random.Random(31)
     table = {"e": "e", "e1": "e2", "e2": "e", "e3": "e1"}
-    h = PointMap.from_table(STAR3, STAR3, table)
+    h = PointMap(STAR3, STAR3, "table", table=table)
     for _ in range(200):
         u = random_reduced_word(rng, STAR3, 6)
         v = random_reduced_word(rng, STAR3, 6)
@@ -72,7 +75,10 @@ def test_extension_is_a_homomorphism():
 
 def test_map_must_fix_base_point():
     with pytest.raises(ValueError, match="base point"):
-        PointMap.from_table(STAR3, STAR3, {"e": "e1", "e1": "e", "e2": "e2", "e3": "e3"})
+        PointMap(STAR3, STAR3, "table", table={"e": "e1", "e1": "e", "e2": "e2", "e3": "e3"})
+    # slope -1/2, a contraction, yet it moves 0: transported certificates would fail
+    with pytest.raises(ValueError, match="^map must send base point to base point$"):
+        PointMap(INTERVAL, INTERVAL, "piecewise", breakpoints=((0, frac("1/2")), (1, 0)))
 
 
 def test_map_needs_the_data_of_its_kind():
@@ -81,6 +87,38 @@ def test_map_needs_the_data_of_its_kind():
         PointMap(INTERVAL, INTERVAL, "affine", table={Fraction(0): Fraction(0)})
     with pytest.raises(ValueError, match="unknown point-map kind"):
         PointMap(INTERVAL, INTERVAL, "spline")
+    # data of another kind would be kept, unchecked, in a field equality reads
+    with pytest.raises(ValueError, match="^a point map of kind 'affine' takes no other kind's data$"):
+        PointMap(INTERVAL, INTERVAL, "affine", scale=Fraction(1, 2), breakpoints=[(0, 1)])
+    with pytest.raises(ValueError, match=r"^affine self-map of \[0, 1\] needs 0 <= scale <= 1$"):
+        _scaling(3)
+    with pytest.raises(ValueError, match=r"^a point map of kind 'affine' is a self-map of \[0, 1\]$"):
+        PointMap(STAR3, STAR3, "affine", scale=Fraction(1, 2))
+
+
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "kind, data, message",
+    [
+        ("table", {"table": {"e1": "e1"}}, "table does not define the image of the base point"),
+        ("table", {"table": {"e": "e", "x9": "e1"}}, "table key 'x9' is not in the domain"),
+        ("table", {"table": {"e": "e", "e1": "x9"}}, "table value 'x9' is not in the codomain"),
+        ("piecewise", {"breakpoints": [(0, 0), (HALF, 0)]}, "breakpoints must start at x = 0 and end at x = 1"),
+        (
+            "piecewise",
+            {"breakpoints": [(0, 0), (HALF, 0), (HALF, 0), (1, 0)]},
+            "breakpoint positions must increase strictly",
+        ),
+        ("piecewise", {"breakpoints": [(0, 0), (1, 2)]}, "breakpoint values must lie in [0, 1]"),
+    ],
+)
+def test_point_map_names_what_is_wrong_with_its_data(kind, data, message):
+    space = STAR3 if kind == "table" else INTERVAL
+    with pytest.raises(ValueError) as error:
+        PointMap(space, space, kind, **data)
+    assert str(error.value) == message
 
 
 def test_map_application_outside_domain():
@@ -90,18 +128,19 @@ def test_map_application_outside_domain():
 
 
 def test_scaling_is_a_contraction():
-    assert check_contraction(PointMap.scaling(frac("1/2")))
-    assert check_contraction(PointMap.scaling(Fraction(1)))
+    assert check_contraction(_scaling(frac("1/2")))
+    assert check_contraction(_scaling(Fraction(1)))
+    assert check_contraction(_scaling(Fraction(0)))  # the collapse to 0
 
 
 def test_generator_swap_is_a_contraction():
     table = {"e": "e", "e1": "e2", "e2": "e1", "e3": "e3"}
-    assert check_contraction(PointMap.from_table(STAR3, STAR3, table))
+    assert check_contraction(PointMap(STAR3, STAR3, "table", table=table))
 
 
 def test_steep_piecewise_map_is_not_a_contraction():
-    doubling = PointMap.piecewise(
-        [(Fraction(0), Fraction(0)), (frac("1/2"), Fraction(1)), (Fraction(1), Fraction(1))]
+    doubling = PointMap(
+        INTERVAL, INTERVAL, "piecewise", breakpoints=[(0, 0), (frac("1/2"), 1), (1, 1)]
     )
     assert not check_contraction(doubling)
 
@@ -195,7 +234,7 @@ def test_contraction_never_increases_the_norm():
         {"e": "e", "e1": "e1", "e2": "e1", "e3": "e3"},
     ]
     for table in table_maps:
-        h = PointMap.from_table(STAR3, STAR3, table)
+        h = PointMap(STAR3, STAR3, "table", table=table)
         assert check_contraction(h)
         for _ in range(150):
             word = random_reduced_word(rng, STAR3, 8)
@@ -260,12 +299,9 @@ def test_partial_contraction_names_a_missing_field(missing):
 
 
 def test_cross_extension_fails_on_altered_metric():
-    # raising d(e1, e2) to 3 breaks the restriction hypothesis
-    # built directly, since from_table would reject the broken triangle
-    points = ("e", "e1", "e2")
-    distance = {frozenset(("e", "e1")): 1, frozenset(("e", "e2")): 1, frozenset(("e1", "e2")): 3}
+    # lowering d(e1, e2) to 3/2, still a metric, breaks the restriction hypothesis
     altered = FiniteSpace(
-        "e", points, {(a, b): Fraction(distance.get(frozenset((a, b)), 0)) for a in points for b in points}
+        "e", ("e", "e1", "e2"), {("e", "e1"): Fraction(1), ("e", "e2"): Fraction(1), ("e1", "e2"): Fraction(3, 2)}
     )
     base = triangular_translation(2)
     translation = BasisTranslation(chain_space(2), altered, base.a_to_b, base.b_to_a)
@@ -275,14 +311,19 @@ def test_cross_extension_fails_on_altered_metric():
 def test_translation_validation_rejects_non_bijections():
     chain = chain_space(2)
     star = star_space(2)
-    broken = BasisTranslation(
-        chain,
-        star,
-        {"f1": parse_word("e1", star), "f2": parse_word("e1", star)},
-        {"e1": parse_word("f1", chain), "e2": parse_word("f1^-1 f2", chain)},
-    )
-    with pytest.raises(ValueError, match="bijective"):
-        validate_translation(broken)
+    with pytest.raises(ValueError, match="^translation is not a bijective basis correspondence$"):
+        BasisTranslation(
+            chain,
+            star,
+            {"f1": parse_word("e1", star), "f2": parse_word("e1", star)},
+            {"e1": parse_word("f1", chain), "e2": parse_word("f1^-1 f2", chain)},
+        )
+    # a substitution for a generator the space does not have
+    good = triangular_translation(2)
+    with pytest.raises(ValueError, match="^translation is not a bijective basis correspondence$"):
+        BasisTranslation(chain, star, {**good.a_to_b, "f3": parse_word("e1", star)}, good.b_to_a)
+    with pytest.raises(ValueError, match="^cross-basis checks need two finite spaces$"):
+        BasisTranslation(INTERVAL, INTERVAL, {}, {})
 
 
 def test_translate_word_handles_inverses():
@@ -335,9 +376,9 @@ def test_substitute_roundtrip_on_e_words():
 
 
 def test_map_json_roundtrip():
-    h = PointMap.scaling(frac("1/2"))
+    h = _scaling(frac("1/2"))
     assert map_from_json(map_to_json(h), INTERVAL) == h
-    table = PointMap.from_table(STAR3, STAR3, {"e": "e", "e1": "e2", "e2": "e1", "e3": "e"})
+    table = PointMap(STAR3, STAR3, "table", table={"e": "e", "e1": "e2", "e2": "e1", "e3": "e"})
     assert map_from_json(map_to_json(table), STAR3) == table
     partial = partial_contraction_from_json({"points": ["0", "1/2"], "values": ["0", "1/4"]})
     extended = extend_partial_contraction(partial)
@@ -346,11 +387,11 @@ def test_map_json_roundtrip():
 
 def test_equal_point_maps_hash_equal():
     table = {"e": "e", "e1": "e2", "e2": "e1", "e3": "e"}
-    h = PointMap.from_table(STAR3, STAR3, table)
+    h = PointMap(STAR3, STAR3, "table", table=table)
     copy = map_from_json(map_to_json(h), STAR3)
     assert copy == h and hash(copy) == hash(h)
-    halving = PointMap.scaling(frac("1/2"))
-    assert len({h, copy, halving, PointMap.scaling(frac("2/4")), grid_map(3), grid_map(3)}) == 3
+    halving = _scaling(frac("1/2"))
+    assert len({h, copy, halving, _scaling(frac("2/4")), grid_map(3), grid_map(3)}) == 3
     table["e1"] = "e3"  # the map keeps its own copy
     assert h.apply("e1") == "e2"
 

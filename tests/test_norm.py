@@ -31,7 +31,7 @@ STAR3 = star_space(3)
 SPACES = (star_space(2), STAR3, INTERVAL)
 # d(a, b) = 2/3 is a denominator only the pair a b^-1 has: every fixed
 # cost and every cross-sign pair cost is an integer
-TRIANGLE = FiniteSpace.from_table(
+TRIANGLE = FiniteSpace(
     "e", ("e", "a", "b"), {("e", "a"): Fraction(1), ("e", "b"): Fraction(1), ("a", "b"): Fraction(2, 3)}
 )
 FIVE_SPACES = (INTERVAL, star_space(2), STAR3, chain_space(4), TRIANGLE)

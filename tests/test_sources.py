@@ -92,5 +92,15 @@ def test_spaces_compute_costs_only_in_integer_costs():
     }
     assert methods == {
         "IntervalSpace": ["contains", "dist", "integer_costs"],
-        "FiniteSpace": ["__init__", "contains", "dist", "from_table", "generators", "integer_costs"],
+        "FiniteSpace": ["__init__", "contains", "dist", "generators", "integer_costs"],
     }
+
+
+def _is_staticmethod(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "staticmethod"
+
+
+def test_no_class_defines_a_static_method():
+    # each value class is built one way, through the __init__ that checks
+    # it, so there are no named constructors beside it
+    assert _found(_is_staticmethod) == []

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -17,12 +18,11 @@ from graev.spaces import (
     space_to_json,
     star_space,
     tilde_dist,
-    validate_metric,
 )
 from graev.words import Letter, Word, signed_alphabet
 
 STAR3 = star_space(3)
-TRIANGLE = FiniteSpace.from_table(
+TRIANGLE = FiniteSpace(
     "e", ("e", "a", "b"), {("e", "a"): Fraction(1), ("e", "b"): Fraction(1), ("a", "b"): Fraction(2, 3)}
 )
 
@@ -49,54 +49,58 @@ def _assert_same_as_reference(letters, space):
             assert got == _reference_tilde_dist(a, b, space), (a, b)
 
 
+def _error(call) -> str:
+    with pytest.raises(ValueError) as raised:
+        call()
+    return str(raised.value)
+
+
 def test_star_space_is_a_metric():
-    assert validate_metric(STAR3) is None
+    # rebuilt from its full table, both orders and the diagonal included
+    assert FiniteSpace(STAR3.base, STAR3.points, STAR3.table) == STAR3
 
 
 def test_interval_is_a_metric():
-    assert validate_metric(INTERVAL) is None
-
-
-def _unchecked_space(base, points, entries):
-    """The FiniteSpace over the symmetric closure of ``entries``, built
-    directly, so its metric axioms are not checked as ``from_table`` would."""
-    table = {(p, p): Fraction(0) for p in points}
-    for (a, b), d in entries.items():
-        table[a, b] = table[b, a] = d
-    return FiniteSpace(base, points, table)
+    grid = [Fraction(p, 6) for p in range(7)]
+    for a, b in itertools.product(grid, repeat=2):
+        assert INTERVAL.dist(a, b) == INTERVAL.dist(b, a) and (INTERVAL.dist(a, b) == 0) == (a == b)
+        assert all(INTERVAL.dist(a, b) <= INTERVAL.dist(a, c) + INTERVAL.dist(c, b) for c in grid)
 
 
 def test_triangle_violation_is_reported():
-    bad = _unchecked_space(
-        "e",
-        ("e", "a", "b"),
-        {("a", "b"): Fraction(5), ("a", "e"): Fraction(1), ("e", "b"): Fraction(1)},
-    )
-    assert validate_metric(bad) == "triangle violated at (a, e, b)"
+    entries = {("a", "b"): Fraction(5), ("a", "e"): Fraction(1), ("e", "b"): Fraction(1)}
+    message = _error(lambda: FiniteSpace("e", ("e", "a", "b"), entries))
+    assert message == "not a metric: triangle violated at (a, e, b)"
 
 
 def test_zero_distance_between_distinct_points_is_reported():
-    bad = _unchecked_space("e", ("e", "a"), {("e", "a"): Fraction(0)})
-    assert validate_metric(bad) == "identity violated at (e, a)"
+    assert _error(lambda: FiniteSpace("e", ("e", "a"), {("e", "a"): Fraction(0)})) == (
+        "not a metric: identity violated at (e, a)"
+    )
+    # and a negative one, whose words would get negative norms
+    assert _error(lambda: FiniteSpace("e", ("e", "a"), {("e", "a"): Fraction(-1), ("a", "e"): Fraction(-1)})) == (
+        "not a metric: nonnegativity violated at (e, a)"
+    )
 
 
-def test_from_table_validates_by_default():
-    with pytest.raises(ValueError, match="triangle"):
-        FiniteSpace.from_table(
-            "e",
-            ("e", "a", "b"),
-            {("a", "b"): Fraction(5), ("a", "e"): Fraction(1), ("e", "b"): Fraction(1)},
-        )
+def test_constructor_requires_all_pairs():
+    message = _error(lambda: FiniteSpace("e", ("e", "a", "b"), {("e", "a"): Fraction(1)}))
+    assert message == "missing distance for pair (e, b)"
+    message = _error(lambda: FiniteSpace("e", ("e", "a", "b"), {("e", "a"): Fraction(1), ("b", "e"): Fraction(1)}))
+    assert message == "missing distance for pair (a, b)"
 
 
-def test_from_table_requires_all_pairs():
-    with pytest.raises(ValueError, match="missing distance"):
-        FiniteSpace.from_table("e", ("e", "a", "b"), {("e", "a"): Fraction(1)})
+def test_constructor_rejects_bad_point_names():
+    one = {("e", "a"): Fraction(1)}
+    assert _error(lambda: FiniteSpace("x", ("e", "a"), one)) == "base point 'x' is not among the points"
+    assert _error(lambda: FiniteSpace("e", ("e", "a", "a"), one)) == "duplicate point names"
+    message = _error(lambda: FiniteSpace("e", ("e", "a"), {**one, ("a", "z"): Fraction(1)}))
+    assert message == "distance entry (a, z) names an unknown point"
 
 
-def test_from_table_rejects_conflicting_entries():
+def test_constructor_rejects_conflicting_entries():
     with pytest.raises(ValueError, match="conflicting"):
-        FiniteSpace.from_table(
+        FiniteSpace(
             "e",
             ("e", "a"),
             {("e", "a"): Fraction(1), ("a", "e"): Fraction(2)},
@@ -168,12 +172,6 @@ def test_tilde_dist_matches_the_reference_on_interval_points():
     points = [Fraction(0), Fraction(1)]
     points += [Fraction(rng.randint(0, q), q) for q in range(1, 13) for _ in range(2)]
     _assert_same_as_reference(signed_alphabet(points), INTERVAL)
-
-
-def _error(call) -> str:
-    with pytest.raises(ValueError) as raised:
-        call()
-    return str(raised.value)
 
 
 FOREIGN_POINTS = [

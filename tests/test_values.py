@@ -21,8 +21,8 @@ MAKERS = {
     "Word": lambda: Word((Letter("e1"), Letter("e2", -1))),
     "SigmaMatching": lambda: SigmaMatching((3, 2, 1)),
     "IntervalSpace": IntervalSpace,
-    "FiniteSpace": lambda: FiniteSpace.from_table("e", ("e", "a"), {("e", "a"): Fraction(1)}),
-    "PointMap": lambda: PointMap.scaling(Fraction(1, 2)),
+    "FiniteSpace": lambda: FiniteSpace("e", ("e", "a"), {("e", "a"): Fraction(1)}),
+    "PointMap": lambda: PointMap(IntervalSpace(), IntervalSpace(), "affine", scale=Fraction(1, 2)),
     "PartialContraction": lambda: PartialContraction(
         (Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(1, 4))
     ),
