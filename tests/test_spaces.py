@@ -73,6 +73,15 @@ def test_triangle_violation_is_reported():
     assert message == "not a metric: triangle violated at (a, e, b)"
 
 
+def test_constructor_validates_by_default():
+    # a copy or a pickle rebuilds through the constructor, so a tampered
+    # table is checked there as well
+    rebuild, (base, points, table) = TRIANGLE.__reduce__()
+    broken = {**table, ("a", "b"): Fraction(5), ("b", "a"): Fraction(5)}
+    with pytest.raises(ValueError, match="triangle"):
+        rebuild(base, points, broken)
+
+
 def test_zero_distance_between_distinct_points_is_reported():
     assert _error(lambda: FiniteSpace("e", ("e", "a"), {("e", "a"): Fraction(0)})) == (
         "not a metric: identity violated at (e, a)"
