@@ -243,8 +243,8 @@ class BasisTranslation(Value):
                     raise ValueError("translation is not a bijective basis correspondence")
         object.__setattr__(self, "space_a", space_a)
         object.__setattr__(self, "space_b", space_b)
-        object.__setattr__(self, "a_to_b", a_to_b)
-        object.__setattr__(self, "b_to_a", b_to_a)
+        object.__setattr__(self, "a_to_b", FrozenTable(a_to_b))
+        object.__setattr__(self, "b_to_a", FrozenTable(b_to_a))
 
 
 def translate_word(w: Word, mapping: Mapping[Point, Word], source_base: Point, target_base: Point) -> Word:

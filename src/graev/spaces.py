@@ -177,7 +177,10 @@ class FiniteSpace(Value):
         return tuple(p for p in self.points if p != self.base)
 
     def contains(self, p: "Point") -> bool:
-        return p in self.points
+        try:
+            return (p, 1) in self.signed
+        except TypeError:  # an unhashable point
+            return False
 
     def dist(self, a: str, b: str) -> Fraction:
         try:

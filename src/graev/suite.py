@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .certificates import (
     PowerCertificate,
@@ -114,23 +114,22 @@ def random_rational(rng: random.Random, max_den: int = 10, allow_zero: bool = Tr
     return Fraction(num, den)
 
 
-def random_letter(rng: random.Random, space: Space, allow_base: bool = False) -> Letter:
+def random_letter(rng: random.Random, space: Space, base_prob: float = 0.0) -> Letter:
+    """A letter of random sign: the base point with probability ``base_prob``
+    (drawn first, and only when it is nonzero), else a generator, which on
+    the interval is a point of (0, 1]."""
+    base = base_prob and rng.random() < base_prob
     sign = rng.choice((1, -1))
+    if base:
+        return Letter(space.base, sign)
     if isinstance(space, FiniteSpace):
-        pool = space.points if allow_base else space.generators
-        return Letter(rng.choice(pool), sign)
-    return Letter(random_rational(rng, allow_zero=allow_base), sign)
+        return Letter(rng.choice(space.generators), sign)
+    return Letter(random_rational(rng, allow_zero=False), sign)
 
 
 def random_any_word(rng: random.Random, space: Space, max_len: int, base_prob: float = 0.1) -> Word:
     n = rng.randint(0, max_len)
-    letters = []
-    for _ in range(n):
-        if rng.random() < base_prob:
-            letters.append(Letter(space.base, rng.choice((1, -1))))
-        else:
-            letters.append(random_letter(rng, space))
-    return Word(tuple(letters))
+    return Word(tuple(random_letter(rng, space, base_prob) for _ in range(n)))
 
 
 def random_reduced_word(rng: random.Random, space: Space, max_len: int) -> Word:
@@ -147,10 +146,7 @@ def random_reduced_word(rng: random.Random, space: Space, max_len: int) -> Word:
 def insert_cancelling_pairs(rng: random.Random, w: Word, pairs: int, space: Space) -> Word:
     letters = list(w.letters)
     for _ in range(pairs):
-        if rng.random() < 0.15:
-            y = Letter(space.base, rng.choice((1, -1)))
-        else:
-            y = random_letter(rng, space)
+        y = random_letter(rng, space, base_prob=0.15)
         pos = rng.randint(0, len(letters))
         letters[pos:pos] = [y, y.inverse()]
     return Word(tuple(letters))
@@ -189,10 +185,7 @@ def random_conjugate_product(rng: random.Random, m: int) -> Word:
     product = Word(())
     for _ in range(m - 1):
         g = random_reduced_word(rng, space, 3)
-        if rng.random() < 0.15:
-            a = Letter("e")
-        else:
-            a = random_letter(rng, space)
+        a = random_letter(rng, space, base_prob=0.15)
         product = concat(product, conjugate(g, Word((a,)), "e"), "e")
     return product
 
@@ -284,39 +277,34 @@ def _tilde_table(letters: Sequence[Letter], space: Space) -> tuple[list[list[int
     return [row[k:] for row in pair[:k]], scale
 
 
+def _tilde_axioms(letters: Sequence[Letter], space: Space) -> Iterator[Optional[str]]:
+    """One outcome per ordered pair (a, b) of ``letters``: d~(a, b) is
+    nonnegative, zero exactly when a and b are the same group element,
+    equal to d~(b, a) and at most d~(a, u) + d~(u, b) for every letter u."""
+    d, _ = _tilde_table(letters, space)
+    for s, a in enumerate(letters):
+        for t, b in enumerate(letters):
+            dab = d[s][t]
+            same = a.point == b.point and (a.sign == b.sign or a.point == space.base)
+            ok = dab >= 0 and (dab == 0) == same and dab == d[t][s]
+            if ok and all(dab <= d[s][u] + d[u][t] for u in range(len(letters))):
+                yield None
+            else:
+                yield f"axiom broke at ({format_word(Word((a,)))}, {format_word(Word((b,)))})"
+
+
 def spaces_suite(seed: int, cases: int) -> list[PropertyResult]:
     def finite_outcomes():
         for space in (star_space(2), star_space(3), chain_space(3)):
-            letters = signed_alphabet(space.points)
-            d, _ = _tilde_table(letters, space)
-            for s, a in enumerate(letters):
-                for t, b in enumerate(letters):
-                    dab = d[s][t]
-                    same = a.point == b.point and (
-                        a.sign == b.sign or a.point == space.base
-                    )
-                    ok = dab >= 0 and (dab == 0) == same and dab == d[t][s]
-                    if ok and all(dab <= d[s][u] + d[u][t] for u in range(len(letters))):
-                        yield None
-                    else:
-                        yield f"axiom broke at ({format_word(Word((a,)))}, {format_word(Word((b,)))})"
+            yield from _tilde_axioms(signed_alphabet(space.points), space)
 
     def interval_check(rng, _):
-        letters = [random_letter(rng, INTERVAL, allow_base=True) for _ in range(3)]
-        a, b, c = letters
-        d, _ = _tilde_table(letters, INTERVAL)
-        if d[0][1] != d[1][0]:
-            return f"asymmetry at {a}, {b}"
-        if d[0][1] > d[0][2] + d[2][1]:
-            return f"triangle broke at {a}, {b} via {c}"
-        same = a.point == b.point and (a.sign == b.sign or a.point == INTERVAL.base)
-        if (d[0][1] == 0) != same:
-            return f"identity axiom broke at {a}, {b}"
-        return None
+        letters = [random_letter(rng, INTERVAL, base_prob=0.25) for _ in range(3)]
+        return next(filter(None, _tilde_axioms(letters, INTERVAL)), None)
 
     def sign_rules_check(rng, space):
-        a = random_letter(rng, space, allow_base=True)
-        b = random_letter(rng, space, allow_base=True)
+        a = random_letter(rng, space, base_prob=0.25)
+        b = random_letter(rng, space, base_prob=0.25)
         # a, b, their inverses and their positive letters
         d, scale = _tilde_table((a, b, a.inverse(), b.inverse(), Letter(a.point), Letter(b.point)), space)
         if d[0][1] != d[2][3]:
@@ -430,8 +418,8 @@ def norm_suite(seed: int, cases: int) -> list[PropertyResult]:
         return None
 
     def extension_check(rng, space):
-        x = random_letter(rng, space, allow_base=True)
-        y = random_letter(rng, space, allow_base=True)
+        x = random_letter(rng, space, base_prob=0.25)
+        y = random_letter(rng, space, base_prob=0.25)
         u, v = Word((Letter(x.point),)), Word((Letter(y.point),))
         if graev_metric(u, v, space) != space.dist(x.point, y.point):
             return f"metric does not extend d at ({x.point}, {y.point})"

@@ -623,6 +623,8 @@ def test_obstruction_validates_arguments():
         exponent_obstruction(Word(()), 2, 4)
     with pytest.raises(ValueError, match="e1..e2"):
         exponent_obstruction(parse_word("e3", STAR3), 2, 3)
+    with pytest.raises(ValueError, match="^m must be at least 1, got 0$"):
+        exponent_obstruction(Word(()), 0, 3)
 
 
 def test_decomposition_json_roundtrip():

@@ -212,6 +212,10 @@ def test_verify_json_mode(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", "--json", str(path))
     assert code == 0
     assert json.loads(out) == {"result": "PASS"}
+    path.write_text(json.dumps({"n": 3, "c": "1/3", "target": "2/5 2/5 2/5", "bases": ["2/5"]}))
+    code, out, _ = run_cli(capsys, "verify", "--json", str(path))
+    assert code == 1
+    assert json.loads(out) == {"result": "FAIL", "reason": "N(base 1) = 2/5 >= c = 1/3"}
 
 
 def test_verify_missing_file_is_a_usage_error(capsys, tmp_path):
@@ -315,6 +319,7 @@ def test_verify_malformed_certificate_files_are_usage_errors(capsys, tmp_path):
         (dict(decomposition, m="3"), "'m' must be an integer"),
         ({k: v for k, v in power.items() if k != "n"}, "certificate file is missing field 'n'"),
         (dict(decomposition, factors=[{"a": "e2"}]), "certificate file is missing field 'g'"),
+        (dict(decomposition, factors=[{"g": "e1", "a": "e2 e1"}]), "factor letter 'e2 e1' must be a single letter"),
         ([power], "must hold a JSON object"),
         (None, "must hold a JSON object"),
     ]
@@ -334,6 +339,8 @@ def test_malformed_space_files_are_usage_errors(capsys, tmp_path):
         (dict(space, points=["e", 1]), "'points' must be a list of strings"),
         (dict(space, base=None), "'base' must be a string"),
         (dict(space, dist=["e,a", "1"]), "'dist' must be an object"),
+        (dict(space, points=["e", "a,b"]), "point name 'a,b' may not contain a comma"),
+        (dict(space, dist={"e,a,a": "1"}), "bad distance key 'e,a,a', expected 'a,b'"),
         ([space], "must hold a JSON object"),
     ]
     path = tmp_path / "space.json"
@@ -472,6 +479,7 @@ def test_numeric_rationals_in_map_files_are_usage_errors(capsys, tmp_path):
         ({"points": "01", "values": "00"}, "'points' must be a list of rationals"),
         ({"points": ["0", "1"], "values": "00"}, "'values' must be a list of rationals"),
         ([{"scale": "1/2"}], "the map file must hold a JSON object"),
+        ({"map": {"e1": "e1 e2"}}, "map entry 'e1': 'e1 e2' must name single points"),
     ],
 )
 def test_malformed_map_files_are_usage_errors(capsys, tmp_path, payload, message):

@@ -125,6 +125,8 @@ def test_map_application_outside_domain():
     h = grid_map(2)
     with pytest.raises(ValueError, match="outside"):
         h.apply(Fraction(1, 3))
+    with pytest.raises(ValueError, match=r"^point Fraction\(3, 2\) is outside \[0, 1\]$"):
+        _scaling(frac("1/2")).apply(Fraction(3, 2))
 
 
 def test_scaling_is_a_contraction():
@@ -180,6 +182,13 @@ def test_partial_contraction_invariant_is_enforced():
         PartialContraction((Fraction(0),), (frac("1/2"),))
     with pytest.raises(ValueError, match="contain 0"):
         PartialContraction((frac("1/2"),), (Fraction(0),))
+    with pytest.raises(ValueError, match="^points and values differ in length$"):
+        PartialContraction((Fraction(0), frac("1/2")), (Fraction(0),))
+    with pytest.raises(ValueError, match="^anchor points must increase strictly$"):
+        PartialContraction((Fraction(0), frac("1/2"), frac("1/2")), (Fraction(0),) * 3)
+    for points, values in (((0, 2), (0, 1)), ((0, 1), (0, -1))):
+        with pytest.raises(ValueError, match=r"^anchors and values must lie in \[0, 1\]$"):
+            PartialContraction(tuple(map(Fraction, points)), tuple(map(Fraction, values)))
 
 
 def test_random_extensions_are_contractions_and_agree_on_anchors():

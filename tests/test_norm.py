@@ -67,11 +67,7 @@ def _seeded_word(rng, space, k):
     """An unreduced word of k letters over ``space``: about a fifth of the
     letters not in cancelling pairs are base-point letters."""
     pairs = rng.randint(0, k // 2)
-    letters = [
-        Letter(space.base, rng.choice((1, -1))) if rng.random() < 0.2
-        else random_letter(rng, space)
-        for _ in range(k - 2 * pairs)
-    ]
+    letters = [random_letter(rng, space, base_prob=0.2) for _ in range(k - 2 * pairs)]
     return insert_cancelling_pairs(rng, Word(tuple(letters)), pairs, space)
 
 
@@ -508,8 +504,8 @@ def test_pair_cost_is_orientation_free():
 
     for index in range(300):
         space = SPACES[index % len(SPACES)]
-        a = random_letter(rng, space, allow_base=True)
-        b = random_letter(rng, space, allow_base=True)
+        a = random_letter(rng, space, base_prob=0.25)
+        b = random_letter(rng, space, base_prob=0.25)
         _, pair, _ = space.integer_costs([a, b])
         assert pair[0][1] == pair[1][0]
 
@@ -521,7 +517,7 @@ def test_fixed_cost_is_half_the_distance_to_the_inverse():
 
     for index in range(300):
         space = SPACES[index % len(SPACES)]
-        a = random_letter(rng, space, allow_base=True)
+        a = random_letter(rng, space, base_prob=0.25)
         fix, pair, _ = space.integer_costs([a])
         assert pair[0][0] == 2 * fix[0]
 

@@ -156,6 +156,8 @@ def test_tilde_dist_rejects_foreign_points():
         tilde_dist(Letter("x9"), Letter("e1"), STAR3)
     with pytest.raises(ValueError, match="not in the space"):
         tilde_dist(Letter(Fraction(7, 5)), Letter(Fraction(1, 5)), INTERVAL)
+    with pytest.raises(ValueError, match=r"^no distance for pair \(e1, x9\)$"):
+        STAR3.dist("e1", "x9")
 
 
 def test_tilde_dist_matches_the_reference_on_finite_spaces():
@@ -191,11 +193,13 @@ FOREIGN_POINTS = [
     (INTERVAL, Fraction(1), Fraction(-1, 5)),
     (INTERVAL, Fraction(0), 1),
     (INTERVAL, Fraction(2, 5), "1/2"),
+    (STAR3, "e2", ["e1"]),  # unhashable: not a point, not a TypeError
 ]
 
 
 @pytest.mark.parametrize("space, inside, foreign", FOREIGN_POINTS)
 def test_tilde_dist_rejects_a_foreign_point_in_either_place_as_before(space, inside, foreign):
+    assert space.contains(inside) and not space.contains(foreign)
     for a, b in ((foreign, inside), (inside, foreign)):
         for sa in (1, -1):
             for sb in (1, -1):

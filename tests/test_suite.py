@@ -4,7 +4,11 @@ import random
 
 import pytest
 
-from graev.suite import _run, run_suite
+import graev.suite as suite
+from graev.cli import main
+from graev.spaces import INTERVAL, star_space
+from graev.suite import _run, _tilde_axioms, random_letter, run_suite
+from graev.words import Letter
 
 # (property, cases at --cases 0, cases at --cases 28), in run order; the
 # exhaustive properties keep their count, cross-basis-agreement counts pairs
@@ -72,3 +76,53 @@ def test_run_hands_each_case_the_next_cycle_value():
     result = _run("cycle-probe", 7, lambda rng, m: seen.append(m), 0, (2, 3, 4))
     assert seen == [2, 3, 4, 2, 3, 4, 2]
     assert (result.cases, result.failures, result.counterexample) == (7, 0, None)
+
+
+def test_random_letter_draws_the_base_point_at_its_rate_with_either_sign():
+    for space in (star_space(3), INTERVAL):
+        rng = random.Random(0)
+        letters = [random_letter(rng, space, base_prob=0.25) for _ in range(400)]
+        base_signs = [x.sign for x in letters if x.point == space.base]
+        assert 60 < len(base_signs) < 140 and set(base_signs) == {1, -1}
+        assert all(random_letter(rng, space).point != space.base for _ in range(100))
+
+
+# d~ over (e1, e2, e3) of the rank-3 star, each table breaking one axiom at
+# (e1, e2) and (e2, e1) only: a zero between distinct letters, an asymmetry,
+# and a triangle broken only through the last letter (a negative distance
+# would break the triangle at (e1, e1) too, as 0 > 2 d~(e1, e2))
+BROKEN_TABLES = {
+    "zero": [[0, 0, 2], [0, 0, 2], [2, 2, 0]],
+    "asymmetric": [[0, 1, 2], [2, 0, 2], [2, 2, 0]],
+    "triangle": [[0, 3, 1], [3, 0, 1], [1, 1, 0]],
+}
+
+
+@pytest.mark.parametrize("table", BROKEN_TABLES.values(), ids=BROKEN_TABLES)
+def test_axiom_routine_names_each_broken_pair(monkeypatch, table):
+    letters = [Letter("e1"), Letter("e2"), Letter("e3")]
+    monkeypatch.setattr(suite, "_tilde_table", lambda *_: (table, 1))
+    broken = {1: "axiom broke at (e1, e2)", 3: "axiom broke at (e2, e1)"}
+    assert list(_tilde_axioms(letters, star_space(3))) == [broken.get(i) for i in range(9)]
+
+
+def test_a_broken_table_fails_both_axiom_properties_and_the_suite_command(monkeypatch, capsys):
+    real = suite._tilde_table
+
+    def asymmetric(letters, space):
+        d, scale = real(letters, space)
+        d[0][1] += scale  # d~(x_0, x_1) no longer equals d~(x_1, x_0)
+        return d, scale
+
+    monkeypatch.setattr(suite, "_tilde_table", asymmetric)
+    finite, interval, _ = suite.spaces_suite(0, 5)
+    # star2's alphabet starts with the base letters e and e^-1, one group element
+    assert (finite.cases, finite.counterexample) == (164, "axiom broke at (e, e^-1)")
+    assert 0 < finite.failures < finite.cases
+    assert (interval.cases, interval.failures) == (5, 5)
+    assert interval.counterexample.startswith("axiom broke at (")
+    code = main(["suite", "--select", "spaces", "--cases", "5"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert "counterexample[tilde-dist-axioms-finite-exhaustive]: axiom broke at (e, e^-1)" in lines
+    assert lines[-1] == "RESULT: FAIL (3 properties, 3 failing)"

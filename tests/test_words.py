@@ -5,6 +5,7 @@ import pytest
 from fractions import Fraction
 
 from graev.spaces import INTERVAL, star_space
+from graev.suite import _reduce_random_order
 from graev.words import (
     Letter,
     Word,
@@ -30,6 +31,7 @@ def w(text, space=STAR3):
 
 def test_reduce_cancels_adjacent_inverse_pair():
     assert free_reduce(w("e1 e1^-1"), "e") == Word(())
+    assert not is_reduced(w("e1 e2 e2^-1"), "e")
 
 
 def test_reduce_single_inner_cancellation():
@@ -38,11 +40,12 @@ def test_reduce_single_inner_cancellation():
 
 def test_reduce_fixes_reduced_words():
     word = w("e1 e2")
-    assert free_reduce(word, "e") == word
+    assert free_reduce(word, "e") == word and is_reduced(word, "e")
 
 
 def test_reduce_strips_base_point_letters():
     assert free_reduce(w("e e1 e^-1"), "e") == w("e1")
+    assert not is_reduced(w("e1 e"), "e")
     assert free_reduce(parse_word("0 2/5", INTERVAL), Fraction(0)) == parse_word("2/5", INTERVAL)
 
 
@@ -62,22 +65,6 @@ def test_reduce_idempotent_and_never_grows():
         assert is_reduced(reduced, "e")
 
 
-def _reduce_in_random_order(rng, word, base):
-    letters = list(word.letters)
-    while True:
-        moves = [(i, 1) for i, l in enumerate(letters) if l.point == base]
-        moves += [
-            (i, 2)
-            for i in range(len(letters) - 1)
-            if letters[i].point == letters[i + 1].point
-            and letters[i].sign == -letters[i + 1].sign
-        ]
-        if not moves:
-            return Word(tuple(letters))
-        i, width = rng.choice(moves)
-        del letters[i : i + width]
-
-
 def test_reduce_confluent_under_random_cancellation_orders():
     rng = random.Random(5)
     alphabet = signed_alphabet(("e1", "e2")) + [Letter("e")]
@@ -85,7 +72,7 @@ def test_reduce_confluent_under_random_cancellation_orders():
         word = Word(tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 12))))
         expected = free_reduce(word, "e")
         for _ in range(4):
-            assert _reduce_in_random_order(rng, word, "e") == expected
+            assert _reduce_random_order(rng, word, "e") == expected
 
 
 def test_invert_reverses_and_flips():
