@@ -22,7 +22,7 @@ from operator import neg
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .norm import NORM_LENGTH_MAX, check_length, graev_norm, interval_fill, norm_dp
-from .rationals import clip, parse_rational
+from .rationals import clip, exact, parse_rational
 from .spaces import FiniteSpace, Space, json_int, json_list, json_str, star_space
 from .values import Value
 from .words import (
@@ -146,7 +146,8 @@ def _mismatch(what: str, product: Word, target: Word) -> str:
 
 
 class PowerCertificate(Value):
-    """target = x_1^n ... x_k^n with every norm(x_i) < c."""
+    """target = x_1^n ... x_k^n with every norm(x_i) < c, where c is an int
+    or a ``Fraction``, stored as a ``Fraction``."""
 
     __slots__ = _fields = ("n", "c", "target", "bases")
 
@@ -155,6 +156,7 @@ class PowerCertificate(Value):
         letters = n * sum(map(len, bases))
         if letters > POWER_LETTERS_MAX:
             raise ValueError(f"the powers have {letters} letters, above the limit of {POWER_LETTERS_MAX}")
+        c = exact(c)
         if c <= 0:
             raise ValueError(f"the radius must be positive, got {c}")
         object.__setattr__(self, "n", n)

@@ -22,11 +22,12 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from .norm import graev_metric, graev_norm
-from .rationals import parse_rational
+from .rationals import exact, parse_rational
 from .spaces import INTERVAL, FiniteSpace, FrozenTable, Space, chain_space, json_field, json_list, star_space
 from .values import Value
 from .words import Letter, Point, Word, free_reduce, invert_word, parse_word
@@ -42,6 +43,7 @@ class PointMap(Value):
     Three backings: a finite ``table`` of point images, an ``affine`` rule
     t -> scale*t on the interval with 0 <= scale <= 1, or a ``piecewise``
     linear self-map of the interval given by breakpoints covering [0, 1].
+    Its numbers are ints or ``Fraction``s, stored as ``Fraction``s.
     The constructor checks the backing, that the map is a self-map of [0, 1]
     unless it is a table, and that the base point goes to the base point.
     """
@@ -78,11 +80,11 @@ class PointMap(Value):
         elif domain != INTERVAL or codomain != INTERVAL:
             raise ValueError(f"a point map of kind {kind!r} is a self-map of [0, 1]")
         elif kind == AFFINE:
+            scale = exact(scale)
             if not 0 <= scale <= 1:
                 raise ValueError("affine self-map of [0, 1] needs 0 <= scale <= 1")
-            scale = Fraction(scale)
         else:
-            breakpoints = tuple((Fraction(x), Fraction(y)) for x, y in breakpoints)
+            breakpoints = tuple((exact(x), exact(y)) for x, y in breakpoints)
             if not breakpoints or breakpoints[0][0] != 0 or breakpoints[-1][0] != 1:
                 raise ValueError("breakpoints must start at x = 0 and end at x = 1")
             for (x0, _), (x1, _) in zip(breakpoints, breakpoints[1:]):
@@ -100,9 +102,9 @@ class PointMap(Value):
         if self.kind == TABLE:
             try:
                 return self.table[p]
-            except KeyError:
+            except (KeyError, TypeError):  # TypeError: an unhashable point
                 raise ValueError(f"point {p} is outside the map domain") from None
-        if not isinstance(p, Fraction) or not 0 <= p <= 1:
+        if not INTERVAL.contains(p):
             raise ValueError(f"point {p!r} is outside [0, 1]")
         if self.kind == AFFINE:
             return self.scale * p
@@ -149,12 +151,14 @@ class PartialContraction(Value):
 
     ``points`` must be strictly increasing, start at 0, and carry values in
     [0, 1] with value 0 at 0 and |v(b) - v(a)| <= b - a for neighbours
-    (which already gives the inequality for every pair).
+    (which already gives the inequality for every pair).  Both are ints or
+    ``Fraction``s, stored as tuples of ``Fraction``s.
     """
 
     __slots__ = _fields = ("points", "values")
 
     def __init__(self, points: tuple[Fraction, ...], values: tuple[Fraction, ...]) -> None:
+        points, values = tuple(map(exact, points)), tuple(map(exact, values))
         if len(points) != len(values):
             raise ValueError("points and values differ in length")
         if not points or points[0] != 0:
@@ -199,6 +203,7 @@ def scaling_norm_law(gamma: Fraction, w: Word) -> tuple[Fraction, Fraction]:
     return graev_norm(image, INTERVAL), gamma * graev_norm(w, INTERVAL)
 
 
+@lru_cache(maxsize=None)
 def grid_map(m: int) -> PointMap:
     """Send the grid point k/m of [0, 1] to the chain generator fk (0 to e).
 
@@ -281,7 +286,8 @@ def check_cross_extension(tr: BasisTranslation, samples: Sequence[Word]) -> bool
     extended from one basis must restrict, on the translated generators of
     the other basis, to that basis's point metric.  If the hypothesis
     holds, every unordered pair from ``samples`` (words over
-    ``tr.space_a``) must get the same distance in both extensions.
+    ``tr.space_a``, each translated once) must get the same distance in
+    both extensions.
     """
     s1, s2 = tr.space_a, tr.space_b
 
@@ -294,9 +300,8 @@ def check_cross_extension(tr: BasisTranslation, samples: Sequence[Word]) -> bool
             if graev_metric(images[a], images[b], target) != source.dist(a, b):
                 return False
 
-    for u, v in itertools.combinations(samples, 2):
-        tu = translate_word(u, tr.a_to_b, s1.base, s2.base)
-        tv = translate_word(v, tr.a_to_b, s1.base, s2.base)
+    translated = [translate_word(u, tr.a_to_b, s1.base, s2.base) for u in samples]
+    for (u, tu), (v, tv) in itertools.combinations(zip(samples, translated), 2):
         if graev_metric(u, v, s1) != graev_metric(tu, tv, s2):
             return False
     return True

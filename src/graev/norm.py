@@ -154,29 +154,22 @@ def noncrossing_involutions(k: int) -> set[tuple[int, ...]]:
 
     Built by recursion on the first position (fixed, or paired with t and
     split into inner/outer segments); independent of ``is_sigma``, which it
-    cross-checks in the tests.
+    cross-checks in the tests.  Each k is built once; every call returns a
+    new set, so a caller may change it.
     """
+    return set(_noncrossing(k))
 
-    @lru_cache(maxsize=None)
-    def build(n: int) -> tuple[tuple[int, ...], ...]:
-        if n == 0:
-            return ((),)
-        out: list[tuple[int, ...]] = []
-        for rest in build(n - 1):
-            out.append((0,) + tuple(v + 1 for v in rest))
-        for t in range(1, n):
-            for inner in build(t - 1):
-                for outer in build(n - t - 1):
-                    img = [0] * n
-                    img[0], img[t] = t, 0
-                    for v, w in enumerate(inner):
-                        img[1 + v] = 1 + w
-                    for v, w in enumerate(outer):
-                        img[t + 1 + v] = t + 1 + w
-                    out.append(tuple(img))
-        return tuple(out)
 
-    return {tuple(v + 1 for v in img) for img in build(k)}
+@lru_cache(maxsize=None)
+def _noncrossing(n: int) -> frozenset[tuple[int, ...]]:
+    if n == 0:
+        return frozenset({()})
+    out = {(1,) + tuple(v + 1 for v in rest) for rest in _noncrossing(n - 1)}
+    for t in range(1, n):  # position 1 paired with t + 1
+        for inner in _noncrossing(t - 1):
+            for outer in _noncrossing(n - t - 1):
+                out.add((t + 1, *(1 + w for w in inner), 1, *(t + 1 + w for w in outer)))
+    return frozenset(out)
 
 
 def check_length(what: str, *texts: str) -> None:

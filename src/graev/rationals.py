@@ -2,6 +2,8 @@
 
 Everything in this library is a ``fractions.Fraction``; floats are never
 accepted, so equality tests and strict comparisons are always decidable.
+The value constructors take each number through ``exact``, which lets an
+int or a ``Fraction`` in and refuses anything else.
 Output uses ``str``, which prints lowest terms, ``p/q`` or a plain ``p``.
 """
 
@@ -22,6 +24,16 @@ def clip(text: str, limit: int = 40) -> str:
     """``text`` cut to its first ``limit`` characters and marked "…" if cut,
     so an error that echoes its input stays one short line."""
     return text if len(text) <= limit else text[:limit] + "…"
+
+
+def exact(x: object) -> Fraction:
+    """``x`` as a ``Fraction``: an int is converted, a ``Fraction`` returned
+    as it is; anything else, a float or a text included, is a ValueError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise ValueError(f"{clip(repr(x))} is not an int or a Fraction")
 
 
 def parse_rational(text: str) -> Fraction:

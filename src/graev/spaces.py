@@ -38,7 +38,7 @@ from functools import lru_cache
 from math import lcm
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
-from .rationals import clip, parse_rational
+from .rationals import clip, exact, parse_rational
 from .values import Value
 
 if TYPE_CHECKING:
@@ -119,11 +119,12 @@ class IntervalSpace(Value):
 
 
 class FiniteSpace(Value):
+    # ``generators`` are the points other than the base, in point order;
     # ``signed`` numbers the signed letters (p, s), and ``scaled[i][j]`` is
     # d~(x_i, x_j^-1) times ``table_scale``, the lcm of the table's
-    # denominators; derived from the table, they are no fields: they take
+    # denominators; derived from the fields, they are no fields: they take
     # no part in equality, hashing or the repr
-    __slots__ = ("base", "points", "table", "signed", "scaled", "table_scale")
+    __slots__ = ("base", "points", "table", "generators", "signed", "scaled", "table_scale")
     _fields = ("base", "points", "table")
 
     kind = "finite"
@@ -131,9 +132,10 @@ class FiniteSpace(Value):
     def __init__(
         self, base: str, points: tuple[str, ...], table: Mapping[tuple[str, str], Fraction]
     ) -> None:
-        """Distances given in either order, closed under symmetry, with
-        d(p, p) = 0 added; every pair and the metric axioms are checked, so a
-        violation raises ValueError, on copies and pickles too."""
+        """Distances given in either order as ints or ``Fraction``s, closed
+        under symmetry, with d(p, p) = 0 added; every pair and the metric
+        axioms are checked, so a violation raises ValueError, on copies and
+        pickles too."""
         if base not in points:
             raise ValueError(f"base point {base!r} is not among the points")
         if len(set(points)) != len(points):
@@ -142,10 +144,11 @@ class FiniteSpace(Value):
         for (a, b), value in table.items():
             if a not in points or b not in points:
                 raise ValueError(f"distance entry ({a}, {b}) names an unknown point")
+            value = exact(value)
             for key in ((a, b), (b, a)):
                 if key in full and full[key] != value:
                     raise ValueError(f"conflicting distances for pair {key}")
-                full[key] = Fraction(value)
+                full[key] = value
         for a, b in itertools.combinations(points, 2):
             if (a, b) not in full:
                 raise ValueError(f"missing distance for pair ({a}, {b})")
@@ -167,14 +170,10 @@ class FiniteSpace(Value):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "generators", tuple(p for p in points if p != base))
         object.__setattr__(self, "signed", {x: i for i, x in enumerate(signed)})
         object.__setattr__(self, "scaled", scaled)
         object.__setattr__(self, "table_scale", scale)
-
-    @property
-    def generators(self) -> tuple[str, ...]:
-        """The points other than the base, in point order."""
-        return tuple(p for p in self.points if p != self.base)
 
     def contains(self, p: "Point") -> bool:
         try:
@@ -185,7 +184,7 @@ class FiniteSpace(Value):
     def dist(self, a: str, b: str) -> Fraction:
         try:
             return self.table[(a, b)]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable point
             raise ValueError(f"no distance for pair ({a}, {b})") from None
 
     def integer_costs(self, letters: Sequence["Letter"]) -> tuple[list, list, int]:

@@ -152,18 +152,21 @@ def insert_cancelling_pairs(rng: random.Random, w: Word, pairs: int, space: Spac
     return Word(tuple(letters))
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def random_partial_contraction(rng: random.Random) -> PartialContraction:
     count = rng.randint(1, 6)
-    pts = {Fraction(0)}
+    pts = {_ZERO}
     while len(pts) < count:
         pts.add(random_rational(rng, max_den=12))
     ordered = sorted(pts)
-    values = [Fraction(0)]
+    values = [_ZERO]
     for prev, cur in zip(ordered, ordered[1:]):
         den = rng.randint(1, 6)
         slope = Fraction(rng.randint(-den, den), den)
         nxt = values[-1] + slope * (cur - prev)
-        values.append(min(Fraction(1), max(Fraction(0), nxt)))
+        values.append(min(_ONE, max(_ZERO, nxt)))
     return PartialContraction(tuple(ordered), tuple(values))
 
 

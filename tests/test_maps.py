@@ -125,6 +125,8 @@ def test_map_application_outside_domain():
     h = grid_map(2)
     with pytest.raises(ValueError, match="outside"):
         h.apply(Fraction(1, 3))
+    with pytest.raises(ValueError, match=r"^point \['x'\] is outside the map domain$"):
+        h.apply(["x"])
     with pytest.raises(ValueError, match=r"^point Fraction\(3, 2\) is outside \[0, 1\]$"):
         _scaling(frac("1/2")).apply(Fraction(3, 2))
 
@@ -178,6 +180,8 @@ def test_extend_identity_anchors_gives_identity():
 def test_partial_contraction_invariant_is_enforced():
     with pytest.raises(ValueError, match="not a partial contraction"):
         PartialContraction((Fraction(0), frac("1/4")), (Fraction(0), frac("1/2")))
+    with pytest.raises(ValueError, match=r"^not a partial contraction: \|h\(1/2\) - h\(1/4\)\| = 1/2 > 1/4$"):
+        PartialContraction((0, frac("1/4"), frac("1/2")), (0, frac("1/4"), frac("3/4")))
     with pytest.raises(ValueError, match="value at 0"):
         PartialContraction((Fraction(0),), (frac("1/2"),))
     with pytest.raises(ValueError, match="contain 0"):
@@ -284,6 +288,26 @@ def test_cross_extension_holds_for_the_triangular_bases():
         rng = random.Random(m)
         samples = [random_reduced_word(rng, chain, 4) for _ in range(12)]
         assert check_cross_extension(translation, samples)
+
+
+def test_cross_extension_translates_each_sample_once(monkeypatch):
+    translation = triangular_translation(3)
+    samples = [random_reduced_word(random.Random(3), translation.space_a, 4) for _ in range(9)]
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return translate_word(*args)
+
+    monkeypatch.setattr("graev.maps.translate_word", counted)
+    assert check_cross_extension(translation, samples)
+    # each sample once, and the image of every point of both spaces
+    assert len(calls) == len(samples) + len(translation.space_a.points) + len(translation.space_b.points)
+    assert calls[-len(samples):] == samples
+
+
+def test_grid_map_is_built_once_per_rank():
+    assert grid_map(3) is grid_map(3) and grid_map(2) is not grid_map(3)
 
 
 def test_cross_extension_trivial_on_identical_spaces():

@@ -70,6 +70,13 @@ def test_full_permutation_filter_equals_structural_generator():
         assert literal == noncrossing_involutions(k)
 
 
+def test_structural_sets_are_built_once_and_handed_out_as_copies():
+    first, second = noncrossing_involutions(5), noncrossing_involutions(5)
+    assert first == second and first is not second and len(first) == 21
+    first.clear()
+    assert noncrossing_involutions(5) == second and len(second) == 21
+
+
 def test_enumeration_guard():
     with pytest.raises(ValueError):
         enumerate_sigma(0)

@@ -92,7 +92,7 @@ def test_spaces_compute_costs_only_in_integer_costs():
     }
     assert methods == {
         "IntervalSpace": ["contains", "dist", "integer_costs"],
-        "FiniteSpace": ["__init__", "contains", "dist", "generators", "integer_costs"],
+        "FiniteSpace": ["__init__", "contains", "dist", "integer_costs"],
     }
 
 

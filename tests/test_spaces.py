@@ -158,6 +158,8 @@ def test_tilde_dist_rejects_foreign_points():
         tilde_dist(Letter(Fraction(7, 5)), Letter(Fraction(1, 5)), INTERVAL)
     with pytest.raises(ValueError, match=r"^no distance for pair \(e1, x9\)$"):
         STAR3.dist("e1", "x9")
+    with pytest.raises(ValueError, match=r"^no distance for pair \(e1, \['e1'\]\)$"):
+        STAR3.dist("e1", ["e1"])
 
 
 def test_tilde_dist_matches_the_reference_on_finite_spaces():
@@ -248,6 +250,13 @@ def test_signed_table_stays_out_of_equality_repr_and_json():
     assert copy == TRIANGLE and hash(copy) == hash(TRIANGLE)
     assert copy.scaled == TRIANGLE.scaled and copy.scaled is not TRIANGLE.scaled
     assert copy.table_scale == TRIANGLE.table_scale == 3
+
+
+def test_generators_are_built_once_with_the_space():
+    # derived in the constructor, not per read, and no field
+    assert star_space(3).generators is star_space(3).generators
+    assert STAR3.generators == ("e1", "e2", "e3") and TRIANGLE.generators == ("a", "b")
+    assert "generators" not in repr(STAR3) and space_from_json(space_to_json(STAR3)).generators == STAR3.generators
 
 
 def test_tilde_dist_metric_axioms_exhaustive_on_finite_spaces():

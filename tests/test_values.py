@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,33 @@ REPRS = {
         "bases=(Word(letters=(Letter(point=Fraction(2, 5), sign=1),)),))"
     ),
 }
+
+
+# each constructor that takes numbers, as a function of one number x in
+# (0, 1], and the numbers the value stores
+NUMBERS = {
+    "FiniteSpace": (lambda x: FiniteSpace("e", ("e", "a"), {("e", "a"): x}), lambda v: [*v.table.values()]),
+    "PointMap-affine": (lambda x: PointMap(IntervalSpace(), IntervalSpace(), "affine", scale=x), lambda v: [v.scale]),
+    "PointMap-piecewise": (
+        lambda x: PointMap(IntervalSpace(), IntervalSpace(), "piecewise", breakpoints=[(0, 0), (1, x)]),
+        lambda v: [n for point in v.breakpoints for n in point],
+    ),
+    "PartialContraction": (lambda x: PartialContraction((0, 1), (0, x)), lambda v: [*v.points, *v.values]),
+    "PowerCertificate": (lambda x: PowerCertificate(3, x, TWO_FIFTHS, (TWO_FIFTHS,)), lambda v: [v.c]),
+}
+
+
+@pytest.mark.parametrize("make, numbers", NUMBERS.values(), ids=NUMBERS)
+def test_constructors_take_ints_and_fractions_only(make, numbers):
+    half = Fraction(1, 2)
+    stored = numbers(make(half))
+    assert any(n is half for n in stored)  # a Fraction is kept, not rebuilt
+    for x in (half, 1):
+        stored = numbers(make(x))
+        assert x in stored and {type(n) for n in stored} == {Fraction}
+    for x in (0.5, 1.0, "1/2"):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(x))} is not an int or a Fraction$"):
+            make(x)
 
 
 def _fields(value) -> tuple:
