@@ -290,8 +290,9 @@ def space_from_json(data: dict) -> Space:
 
 
 def read_json(path: str, kind: str) -> dict:
-    """The JSON object held in a ``kind`` file; any other top-level value, or
-    nesting too deep to decode, is a ValueError.  Every file the program reads
+    """The JSON object held in a ``kind`` file; a file that is not UTF-8
+    JSON, any other top-level value, or nesting too deep to decode, is a
+    ValueError.  Every file the program reads
     comes through here, and the decoders read its fields with ``json_field``
     and the readers below it, so every file kind reports a bad field alike."""
     import json  # here, so commands that read no file skip loading it
@@ -301,6 +302,8 @@ def read_json(path: str, kind: str) -> dict:
             data = json.load(handle)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as error:
+            raise ValueError(f"the {kind} file is not JSON: {error}") from None
     if not isinstance(data, dict):
         raise ValueError(f"the {kind} file must hold a JSON object")
     return data

@@ -461,6 +461,21 @@ def test_deeply_nested_json_files_are_usage_errors(capsys, tmp_path, argv):
     assert (code, out, err) == (2, "", f"error: {path}: JSON nested too deeply to read\n")
 
 
+def test_an_empty_certificate_file_is_not_json(capsys):
+    code, out, err = run_cli(capsys, "verify", "--space", "lemma32-m3", os.devnull)
+    assert (code, out) == (2, "")
+    assert err == "error: the certificate file is not JSON: Expecting value: line 1 column 1 (char 0)\n"
+
+
+def test_a_map_file_that_is_not_utf8_is_not_json(capsys, tmp_path):
+    path = tmp_path / "map.json"
+    path.write_bytes(b'\xff{"scale": "1/2"}')
+    code, out, err = run_cli(capsys, "extend-map", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the map file is not JSON: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
 def test_numeric_rationals_in_map_files_are_usage_errors(capsys, tmp_path):
     path = tmp_path / "map.json"
     for payload in ({"scale": 0.5}, {"points": [0, 1], "values": ["0", "1/2"]}):

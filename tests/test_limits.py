@@ -19,6 +19,7 @@ from graev.cli import main
 from graev.norm import BRUTE_FORCE_MAX, NORM_LENGTH_MAX, norm_bruteforce
 from graev.rationals import RATIONAL_DIGITS_MAX
 from graev.spaces import SCALE_DIGITS_MAX, SPACE_RANK_MAX, star_space
+from graev.suite import SUITE_CASES_MAX
 from graev.words import Letter, Word
 
 
@@ -96,6 +97,12 @@ def _search_powers(above, monkeypatch, tmp_path):
     return _cli(*argv), f"the candidate powers have 18 letters, above the limit of {18 - above}"
 
 
+def _suite_cases(above, monkeypatch, tmp_path):
+    # sigma's properties run a fixed list of cases whatever the count
+    k = SUITE_CASES_MAX + above
+    return _cli("suite", "--select", "sigma", "--cases", str(k)), f"the case count {k} is above the limit of {SUITE_CASES_MAX}"
+
+
 LIMITS = {
     "NORM_LENGTH_MAX": _norm_length,
     "BRUTE_FORCE_MAX": _brute_force,
@@ -108,6 +115,7 @@ LIMITS = {
     "search-base-length": _search_base_length("1/2 1/2 1/2"),
     "search-base-length-star1": _search_base_length("--space", "lemma32-m1", "e1 e1 e1"),
     "search-candidate-powers": _search_powers,
+    "SUITE_CASES_MAX": _suite_cases,
 }
 
 

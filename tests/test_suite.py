@@ -1,6 +1,10 @@
-"""The property runner and the names and case counts the suite reports."""
+"""The property runner, the names and case counts the suite reports, and
+the forked run that gives the same results on every core."""
 
+import os
 import random
+import select
+import threading
 
 import pytest
 
@@ -126,3 +130,141 @@ def test_a_broken_table_fails_both_axiom_properties_and_the_suite_command(monkey
     assert code == 1
     assert "counterexample[tilde-dist-axioms-finite-exhaustive]: axiom broke at (e, e^-1)" in lines
     assert lines[-1] == "RESULT: FAIL (3 properties, 3 failing)"
+
+
+# the fewest cases per property at which a run forks
+CASES = suite.SUITE_FORK_CASES_MIN
+
+
+class ForkProbe:
+    """Sets the core count ``run_suite`` sees (``cores``), and counts the forks
+    it asks for (``asked``) and the walks over its properties in this process
+    (``walks``: one for a forked run that did not fall back to one process).
+    A fork beyond the workers the core count allows raises in place of
+    forking.  ``first`` picks the process that walks first: "child" keeps
+    the parent waiting until the child has exited, "parent" keeps the child
+    waiting until it is killed (or 10 s)."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        self.asked = self.walks = 0
+        self.first = None
+        self.held = []  # this process's ends of the pipes a waiting child reads
+        self.real_fork, self.real_walk = os.fork, suite._walk
+        monkeypatch.setattr(os, "fork", self.fork)
+        monkeypatch.setattr(suite, "_walk", self.walk)
+        self.cores(2)
+
+    def cores(self, n):
+        self.workers = min(n, suite.SUITE_WORKERS_MAX)
+        self.monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    def walk(self, *args):
+        self.walks += 1
+        return self.real_walk(*args)
+
+    def fork(self):
+        self.asked += 1
+        if self.asked >= self.workers:
+            raise RuntimeError(f"fork {self.asked} with {self.workers} workers allowed")
+        if self.first is None:
+            return self.real_fork()
+        read, write = os.pipe()
+        pid = self.real_fork()
+        if (pid == 0) == (self.first == "parent"):  # this side waits for the read end's EOF
+            os.close(write)
+            select.select([read], [], [], 10)
+            os.close(read)
+        else:
+            os.close(read)
+            self.held.append(write)  # a child's copy closes as it exits
+        return pid
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    probe = ForkProbe(monkeypatch)
+    yield probe
+    for fd in probe.held:
+        os.close(fd)
+    with pytest.raises(ChildProcessError):  # no child of this process is left
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_every_selection_gives_the_single_process_results_on_any_core_count(forks, cores):
+    for seed in range(10):
+        for selection in ["all", *suite.SELECTIONS]:
+            forks.cores(1)
+            want = run_suite(selection, seed, CASES)
+            forks.cores(cores)
+            forks.asked = forks.walks = 0
+            assert run_suite(selection, seed, CASES) == want, (selection, seed)
+            assert (forks.asked, forks.walks) == (cores - 1, 1)
+
+
+def test_a_run_forks_once_on_two_cores_and_only_where_it_pays(forks, monkeypatch):
+    runs = []  # forked runs, with no fork on one core too
+    forked = suite._forked
+    monkeypatch.setattr(suite, "_forked", lambda *args: runs.append(args) or forked(*args))
+
+    def asked(cases):
+        forks.asked = 0
+        runs.clear()
+        run_suite("sigma", 0, cases)
+        return forks.asked, len(runs)
+
+    assert (asked(CASES), asked(CASES - 1)) == ((1, 1), (0, 0))
+    forks.cores(1)
+    assert asked(CASES) == (0, 0)
+    forks.cores(2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10,))
+    thread.start()
+    try:
+        assert asked(CASES) == (0, 0)
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive() and asked(CASES) == (1, 1)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert asked(CASES) == (0, 0)
+
+
+@pytest.mark.parametrize("first", ["child", "parent"])
+def test_a_property_that_raises_in_either_process_raises_as_in_one_process(forks, monkeypatch, first):
+    calls = []  # in this process
+
+    def shift(w, k):
+        calls.append(k)
+        raise RuntimeError("cyclic shift broke")
+
+    monkeypatch.setattr(suite, "cyclic_shift", shift)
+    forks.first = first
+    with pytest.raises(RuntimeError, match="cyclic shift broke"):
+        run_suite("norm", 0, CASES)
+    # the forked walk, then the one-process run that raised; a waiting parent
+    # finds the raising property taken by the child and leaves it
+    assert (forks.asked, forks.walks) == (1, 2)
+    assert len(calls) == {"child": 1, "parent": 2}[first]
+
+
+def test_an_interrupt_in_the_parent_ends_the_children_and_the_run(forks, monkeypatch):
+    def shift(w, k):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(suite, "cyclic_shift", shift)
+    forks.first = "parent"
+    with pytest.raises(KeyboardInterrupt):
+        run_suite("norm", 0, CASES)
+    assert (forks.asked, forks.walks) == (1, 1)
+
+
+def test_a_property_run_by_two_processes_sends_the_run_back_to_one(forks, monkeypatch):
+    forks.cores(1)
+    want = run_suite("words", 0, CASES)
+    forks.cores(2)
+    forks.walks = 0
+    monkeypatch.setattr(suite._Claims, "__call__", lambda self: True)  # every process takes everything
+    assert run_suite("words", 0, CASES) == want
+    assert (forks.asked, forks.walks) == (1, 2)

@@ -20,8 +20,11 @@ The repository's ``src`` and ``tests`` and the root ``conftest.py`` are
 copied once to a temporary directory.  For each mutant in turn, the module
 there is rewritten with the mutated function in place of the original (the
 rest of the file byte for byte), and the pytest arguments after ``--`` run
-in one process, stopping at the first failure.  A mutant that passes them
-survives; one that fails, runs ten times as long as the unmutated copy
+in one process, stopping at the first failure, in a session of its own:
+whatever that run leaves behind (processes it forked) is killed after it,
+and a mutant that signals its whole process group reaches no further.  A
+mutant passes when pytest exits 0 after printing its summary; one that
+passes survives; one that fails, runs ten times as long as the unmutated copy
 plus 10 s, or asks for more than 1 GB of address space is killed.  The unmutated
 copy runs first and must pass.  The report lists every survivor with its
 line and change, then the score; the exit code is 1 if any mutant
@@ -36,6 +39,7 @@ import copy
 import os
 import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -141,13 +145,27 @@ def _run(workdir: Path, pytest_args: list[str], timeout: float) -> str:
     """'passed', 'failed' or 'timeout' for the pytest run in ``workdir``."""
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *pytest_args]
-    try:
-        done = subprocess.run(
-            argv, cwd=workdir, env=env, capture_output=True, timeout=timeout, preexec_fn=_limit_memory
-        )
-    except subprocess.TimeoutExpired:
-        return "timeout"
-    return "passed" if done.returncode == 0 else "failed"
+    # the output goes to a file, not a pipe, so a process the run leaves
+    # behind cannot keep this one waiting for the pipe to close
+    with tempfile.TemporaryFile() as out:
+        with subprocess.Popen(
+            argv, cwd=workdir, env=env, stdout=out, stderr=subprocess.STDOUT,
+            start_new_session=True, preexec_fn=_limit_memory,
+        ) as run:
+            try:
+                code = run.wait(timeout)
+            except subprocess.TimeoutExpired:
+                return "timeout"
+            finally:
+                try:
+                    os.killpg(run.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass  # nothing of the run is left
+        out.seek(0)
+        summary = out.read().decode(errors="replace").strip().rpartition("\n")[2]
+    # pytest's summary must show, or a mutant that ended the run early with
+    # status 0 (through os._exit, say) would pass
+    return "passed" if code == 0 and " passed" in summary else "failed"
 
 
 def main(argv: list[str] | None = None) -> int:
