@@ -10,6 +10,16 @@ Each value class here checks its arguments in its one constructor: a
 that is not 1-Lipschitz and a ``BasisTranslation`` that is not a bijective
 basis correspondence raise ValueError when built, copies included.
 
+Piecewise-linear maps and partial contractions compare and interpolate on
+the numerators and denominators of the few rationals each step involves:
+a neighbour pair's order and slope are cross-multiplied from its two ends,
+and ``apply`` builds a point's image as one ``Fraction(numerator,
+denominator)`` from its segment's two ends and the point.  Each segment
+works over its own denominators, never over one common scale for the whole
+map: an lcm over all breakpoints grows with their count, so 400 anchors with
+300-digit coprime denominators would put every step on ~120 000-digit
+numbers.  Only a failing check formats its message from ``Fraction``s.
+
 Also here: piecewise-linear extension of a partial contraction given on a
 finite subset of [0, 1], the grid-to-chain rescaling map, and basis changes:
 ``translate_word`` substitutes generators between two free bases (such as
@@ -24,7 +34,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .norm import graev_metric, graev_norm
 from .rationals import exact, parse_rational
@@ -87,11 +97,12 @@ class PointMap(Value):
             breakpoints = tuple((exact(x), exact(y)) for x, y in breakpoints)
             if not breakpoints or breakpoints[0][0] != 0 or breakpoints[-1][0] != 1:
                 raise ValueError("breakpoints must start at x = 0 and end at x = 1")
-            for (x0, _), (x1, _) in zip(breakpoints, breakpoints[1:]):
-                if x1 <= x0:
+            ends = _ends(breakpoints)
+            for (a, p, _, _), (b, r, _, _) in zip(ends, ends[1:]):
+                if b * p <= a * r:  # x1 <= x0
                     raise ValueError("breakpoint positions must increase strictly")
-            for _, y in breakpoints:
-                if not 0 <= y <= 1:
+            for _, _, v, q in ends:
+                if not 0 <= v <= q:
                     raise ValueError("breakpoint values must lie in [0, 1]")
             if breakpoints[0][1] != 0:
                 raise ValueError("map must send base point to base point")
@@ -100,11 +111,11 @@ class PointMap(Value):
 
     def apply(self, p: Point) -> Point:
         if self.kind == TABLE:
-            try:
+            # the domain check first: True and int 1 hash and compare like Fraction(1)
+            if self.domain.contains(p) and p in self.table:
                 return self.table[p]
-            except (KeyError, TypeError):  # TypeError: an unhashable point
-                raise ValueError(f"point {p} is outside the map domain") from None
-        if not INTERVAL.contains(p):
+            raise ValueError(f"point {p} is outside the map domain")
+        if not self.domain.contains(p):
             raise ValueError(f"point {p!r} is outside [0, 1]")
         if self.kind == AFFINE:
             return self.scale * p
@@ -112,7 +123,12 @@ class PointMap(Value):
         if idx == len(self.breakpoints) - 1:
             return self.breakpoints[-1][1]
         (x0, y0), (x1, y1) = self.breakpoints[idx], self.breakpoints[idx + 1]
-        return y0 + (y1 - y0) * (p - x0) / (x1 - x0)
+        a, c, b, d = x0.numerator, x0.denominator, x1.numerator, x1.denominator
+        u, q, v, s = y0.numerator, y0.denominator, y1.numerator, y1.denominator
+        n, m = p.numerator, p.denominator
+        run, rise = b * c - a * d, v * q - u * s  # (x1 - x0) * c * d, (y1 - y0) * q * s
+        # y0 + (y1 - y0) * (p - x0) / (x1 - x0), with (p - x0) * m * c = n * c - a * m
+        return Fraction(u * s * m * run + rise * (n * c - a * m) * d, q * s * m * run)
 
 
 def extend_endomorphism(h: PointMap, w: Word) -> Word:
@@ -140,10 +156,17 @@ def check_contraction(h: PointMap) -> bool:
         return True
     if h.kind == AFFINE:
         return True
-    for (x0, y0), (x1, y1) in zip(h.breakpoints, h.breakpoints[1:]):
-        if abs(y1 - y0) > x1 - x0:
+    ends = _ends(h.breakpoints)
+    for (a, p, va, q), (b, r, vb, s) in zip(ends, ends[1:]):
+        if abs(vb * q - va * s) * p * r > (b * p - a * r) * q * s:  # |y1 - y0| > x1 - x0
             return False
     return True
+
+
+def _ends(pairs: Iterable[tuple[Fraction, Fraction]]) -> list[tuple[int, int, int, int]]:
+    """(x.numerator, x.denominator, y.numerator, y.denominator) of each (x, y),
+    to cross-multiply a neighbour pair over its own (positive) denominators."""
+    return [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in pairs]
 
 
 class PartialContraction(Value):
@@ -165,15 +188,17 @@ class PartialContraction(Value):
             raise ValueError("the anchor set must contain 0 as its first point")
         if values[0] != 0:
             raise ValueError("the value at 0 must be 0")
-        for (a, va), (b, vb) in zip(zip(points, values), zip(points[1:], values[1:])):
-            if b <= a:
+        ends = _ends(zip(points, values))
+        for i, ((a, p, va, q), (b, r, vb, s)) in enumerate(zip(ends, ends[1:])):
+            run = b * p - a * r  # (b - a) * p * r
+            if run <= 0:
                 raise ValueError("anchor points must increase strictly")
-            if abs(vb - va) > b - a:
-                raise ValueError(
-                    f"not a partial contraction: |h({b}) - h({a})| = {abs(vb - va)} > {b - a}"
-                )
-        for t, v in zip(points, values):
-            if not 0 <= t <= 1 or not 0 <= v <= 1:
+            if abs(vb * q - va * s) * p * r > run * q * s:  # |vb - va| > b - a
+                t, u = points[i], points[i + 1]
+                rise = abs(values[i + 1] - values[i])
+                raise ValueError(f"not a partial contraction: |h({u}) - h({t})| = {rise} > {u - t}")
+        for a, p, va, q in ends:
+            if not 0 <= a <= p or not 0 <= va <= q:
                 raise ValueError("anchors and values must lie in [0, 1]")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "values", values)

@@ -1,8 +1,11 @@
+import math
 import random
+from bisect import bisect_right
+from collections import Counter
+from fractions import Fraction
+from operator import itemgetter
 
 import pytest
-
-from fractions import Fraction
 
 from graev.maps import (
     BasisTranslation,
@@ -195,14 +198,19 @@ def test_partial_contraction_invariant_is_enforced():
             PartialContraction(tuple(map(Fraction, points)), tuple(map(Fraction, values)))
 
 
-def test_random_extensions_are_contractions_and_agree_on_anchors():
-    rng = random.Random(17)
-    partials = [random_partial_contraction(rng) for _ in range(300)]
-    # and one of 2000 anchors, a walk of steps 0 or +-1/2000 reflected at 0
+def _walk_2000(rng):
+    """A partial contraction on the 2000 points i/2000, its values a walk of
+    steps 0 or +-1/2000 reflected at 0."""
     values = [Fraction(0)]
     for _ in range(1999):
         values.append(abs(values[-1] + Fraction(rng.choice((-1, 0, 1)), 2000)))
-    partials.append(PartialContraction(tuple(Fraction(i, 2000) for i in range(2000)), tuple(values)))
+    return PartialContraction(tuple(Fraction(i, 2000) for i in range(2000)), tuple(values))
+
+
+def test_random_extensions_are_contractions_and_agree_on_anchors():
+    rng = random.Random(17)
+    partials = [random_partial_contraction(rng) for _ in range(300)]
+    partials.append(_walk_2000(rng))
     for partial in partials:
         h = extend_partial_contraction(partial)
         assert check_contraction(h)
@@ -212,6 +220,250 @@ def test_random_extensions_are_contractions_and_agree_on_anchors():
         for (x0, y0), (x1, y1) in zip(h.breakpoints, h.breakpoints[1:]):
             t = x0 + (x1 - x0) / 3
             assert h.apply(t) == y0 + (y1 - y0) / 3
+
+
+# The reference: the piecewise family's rules and interpolation written
+# directly on Fractions, which its numerator and denominator arithmetic must
+# agree with in every value, verdict and message.
+
+
+def _fraction_image(breakpoints, p):
+    idx = bisect_right(breakpoints, p, key=itemgetter(0)) - 1
+    if idx == len(breakpoints) - 1:
+        return breakpoints[-1][1]
+    (x0, y0), (x1, y1) = breakpoints[idx], breakpoints[idx + 1]
+    return y0 + (y1 - y0) * (p - x0) / (x1 - x0)
+
+
+def _fraction_steep(a, va, b, vb):
+    return abs(vb - va) > b - a
+
+
+def _fraction_is_contraction(breakpoints):
+    return not any(_fraction_steep(x0, y0, x1, y1) for (x0, y0), (x1, y1) in zip(breakpoints, breakpoints[1:]))
+
+
+def _fraction_partial_error(points, values):
+    """The message of the first rule a PartialContraction's data breaks, or None."""
+    if len(points) != len(values):
+        return "points and values differ in length"
+    if not points or points[0] != 0:
+        return "the anchor set must contain 0 as its first point"
+    if values[0] != 0:
+        return "the value at 0 must be 0"
+    for (a, va), (b, vb) in zip(zip(points, values), zip(points[1:], values[1:])):
+        if b <= a:
+            return "anchor points must increase strictly"
+        if _fraction_steep(a, va, b, vb):
+            return f"not a partial contraction: |h({b}) - h({a})| = {abs(vb - va)} > {b - a}"
+    for t, v in zip(points, values):
+        if not 0 <= t <= 1 or not 0 <= v <= 1:
+            return "anchors and values must lie in [0, 1]"
+    return None
+
+
+def _fraction_piecewise_error(breakpoints):
+    """The message of the first rule a piecewise PointMap's breakpoints break, or None."""
+    if not breakpoints or breakpoints[0][0] != 0 or breakpoints[-1][0] != 1:
+        return "breakpoints must start at x = 0 and end at x = 1"
+    for (x0, _), (x1, _) in zip(breakpoints, breakpoints[1:]):
+        if x1 <= x0:
+            return "breakpoint positions must increase strictly"
+    for _, y in breakpoints:
+        if not 0 <= y <= 1:
+            return "breakpoint values must lie in [0, 1]"
+    if breakpoints[0][1] != 0:
+        return "map must send base point to base point"
+    return None
+
+
+def _error(build, *args):
+    try:
+        build(*args)
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+def _huge_denominators(rng, count, digits=300):
+    """``count`` pairwise coprime denominators of ``digits`` digits."""
+    dens = []
+    while len(dens) < count:
+        d = rng.randrange(10 ** (digits - 1), 10**digits)
+        if all(math.gcd(d, e) == 1 for e in dens):
+            dens.append(d)
+    return dens
+
+
+def _huge_partial(rng, count):
+    """A partial contraction whose anchors and values have ~300-digit pairwise
+    coprime denominators, each value drawn inside its neighbour's slope band."""
+    dens = _huge_denominators(rng, 2 * count)
+    points = sorted({Fraction(0)} | {Fraction(rng.randrange(1, d), d) for d in dens[:count - 1]})
+    values = [Fraction(0)]
+    for (a, b), d in zip(zip(points, points[1:]), dens[count:]):
+        low, high = max(Fraction(0), values[-1] - (b - a)), min(Fraction(1), values[-1] + (b - a))
+        values.append(Fraction(rng.randint(math.ceil(low * d), math.floor(high * d)), d))
+    return PartialContraction(tuple(points), tuple(values))
+
+
+def _inside(rng, a, b):
+    """Points strictly between a and b: a third of the way, and a random one."""
+    den = rng.randint(2, 10**6)
+    return a + (b - a) / 3, a + (b - a) * Fraction(rng.randint(1, den - 1), den)
+
+
+def test_piecewise_maps_agree_with_the_fraction_formulas():
+    rng = random.Random(2531)
+    partials = [random_partial_contraction(rng) for _ in range(300)]
+    partials += [_walk_2000(rng)] + [_huge_partial(rng, count) for count in (2, 3, 7)]
+    tails = 0
+    for partial in partials:
+        h = extend_partial_contraction(partial)
+        breakpoints = h.breakpoints
+        tails += partial.points[-1] != 1
+        assert check_contraction(h) and _fraction_is_contraction(breakpoints)
+        probes = [Fraction(0), Fraction(1), *partial.points]
+        for (x0, _), (x1, _) in zip(breakpoints, breakpoints[1:]):
+            probes += _inside(rng, x0, x1)  # on the constant tail too, after a last anchor below 1
+        for t in probes:
+            assert h.apply(t) == _fraction_image(breakpoints, t)
+        for t, v in zip(partial.points, partial.values):
+            assert h.apply(t) == v
+    assert tails > 100  # the constant tails were probed
+
+
+@pytest.mark.parametrize("digits", [2, 300])
+def test_slope_checks_agree_at_and_one_step_above_one(digits):
+    rng = random.Random(digits)
+    partial_errors, contractions = Counter(), Counter()
+    for _ in range(40):
+        a_den, b_den, v_den, step_den = _huge_denominators(rng, 4, digits)
+        a = Fraction(rng.randrange(1, a_den), a_den) / 2  # in (0, 1/2)
+        b = a + (1 - a) * Fraction(rng.randrange(1, b_den), b_den)  # in (a, 1)
+        va = a * Fraction(rng.randrange(0, v_den), v_den)  # |va - 0| <= a
+        step = Fraction(1, step_den)
+        for vb in (va + (b - a), va + (b - a) + step, va - (b - a), va - (b - a) - step):
+            points, values = (Fraction(0), a, b), (Fraction(0), va, vb)
+            want = _fraction_partial_error(points, values)
+            assert _error(PartialContraction, points, values) == want
+            partial_errors[want and want.split(":")[0]] += 1
+            breakpoints = tuple(zip(points, values)) + ((Fraction(1), vb),)
+            if _fraction_piecewise_error(breakpoints) is None:
+                h = PointMap(INTERVAL, INTERVAL, "piecewise", breakpoints=breakpoints)
+                assert check_contraction(h) == _fraction_is_contraction(breakpoints)
+                contractions[check_contraction(h)] += 1
+    # both sides of the boundary were met, in both checks
+    assert partial_errors[None] >= 40 and partial_errors["not a partial contraction"] >= 40
+    assert contractions[True] >= 40 and contractions[False] > 0
+    # and by hand: a slope of exactly -1 passes, one a 10^-300 step steeper fails
+    assert check_contraction(PointMap(INTERVAL, INTERVAL, "piecewise", breakpoints=[(0, 0), (HALF, HALF), (1, 0)]))
+    tiny = Fraction(1, 10**300)
+    for steep in ([(0, 0), (HALF, HALF), (3 * Q, Q - tiny), (1, 0)], [(0, 0), (HALF, HALF + tiny), (1, HALF)]):
+        assert not check_contraction(PointMap(INTERVAL, INTERVAL, "piecewise", breakpoints=steep))
+
+
+def test_constructors_agree_with_the_fraction_rules_on_seeded_data():
+    # small denominators, so ties (|dy| = dx, repeated x, values at 0 and 1) come often
+    rng = random.Random(77)
+    seen = set()
+    for _ in range(3000):
+        count = rng.randint(1, 5)
+        xs = sorted(Fraction(rng.randint(0, 4), 4) for _ in range(count))
+        if rng.random() < 0.2:
+            rng.shuffle(xs)
+        if rng.random() < 0.7:
+            xs[0] = Fraction(0)
+        ys = [Fraction(rng.randint(-1, 5), 4) for _ in range(count)]
+        if rng.random() < 0.7:
+            ys[0] = Fraction(0)
+        want = _fraction_partial_error(tuple(xs), tuple(ys))
+        assert _error(PartialContraction, tuple(xs), tuple(ys)) == want
+        seen.add(want and want.split(":")[0])
+        if rng.random() < 0.7:
+            xs[-1] = Fraction(1)
+        breakpoints = tuple(zip(xs, ys))
+        want = _fraction_piecewise_error(breakpoints)
+        assert _error(PointMap, INTERVAL, INTERVAL, "piecewise", None, None, breakpoints) == want
+        if want is None:
+            h = PointMap(INTERVAL, INTERVAL, "piecewise", breakpoints=breakpoints)
+            assert check_contraction(h) == _fraction_is_contraction(breakpoints)
+        seen.add(want)
+    # every rule of both constructors but the length one failed first somewhere
+    assert seen == {
+        None,
+        "the anchor set must contain 0 as its first point",
+        "the value at 0 must be 0",
+        "anchor points must increase strictly",
+        "not a partial contraction",
+        "anchors and values must lie in [0, 1]",
+        "breakpoints must start at x = 0 and end at x = 1",
+        "breakpoint positions must increase strictly",
+        "breakpoint values must lie in [0, 1]",
+        "map must send base point to base point",
+    }
+
+
+Q = Fraction(1, 4)
+
+
+@pytest.mark.parametrize(
+    "points, values, message",
+    [
+        # one neighbour pair not increasing and too steep
+        ((0, HALF, Q), (0, 0, 1), "anchor points must increase strictly"),
+        # too steep and outside [0, 1]
+        ((0, HALF), (0, 2), "not a partial contraction: |h(1/2) - h(0)| = 2 > 1/2"),
+        ((0, Q, HALF), (0, Q, -Q), "not a partial contraction: |h(1/2) - h(1/4)| = 1/2 > 1/4"),
+        # a wrong start and a repeated x
+        ((Q, Q, HALF), (0, 0, 0), "the anchor set must contain 0 as its first point"),
+        # the first failing neighbour pair wins: too steep before a repeat
+        ((0, Q, Q), (0, HALF, HALF), "not a partial contraction: |h(1/4) - h(0)| = 1/2 > 1/4"),
+        # and a repeat before a steep pair
+        ((0, Q, Q, HALF), (0, 0, 0, 1), "anchor points must increase strictly"),
+    ],
+)
+def test_partial_contraction_names_the_first_rule_its_data_breaks(points, values, message):
+    assert _error(PartialContraction, tuple(map(Fraction, points)), tuple(map(Fraction, values))) == message
+    assert _fraction_partial_error(tuple(map(Fraction, points)), tuple(map(Fraction, values))) == message
+
+
+@pytest.mark.parametrize(
+    "breakpoints, message",
+    [
+        # not increasing and too steep: the map's slopes are check_contraction's, never the constructor's
+        ([(0, 0), (HALF, 0), (Q, 1), (1, 1)], "breakpoint positions must increase strictly"),
+        # too steep and outside [0, 1]
+        ([(0, 0), (HALF, 2), (1, 1)], "breakpoint values must lie in [0, 1]"),
+        # a wrong start and a repeated x
+        ([(Q, 0), (Q, 0), (1, 0)], "breakpoints must start at x = 0 and end at x = 1"),
+        # a repeated x and a value outside [0, 1]
+        ([(0, 0), (HALF, 2), (HALF, 0), (1, 0)], "breakpoint positions must increase strictly"),
+        # a value outside [0, 1] and a moved base point
+        ([(0, HALF), (HALF, 2), (1, 0)], "breakpoint values must lie in [0, 1]"),
+    ],
+)
+def test_piecewise_map_names_the_first_rule_its_breakpoints_break(breakpoints, message):
+    assert _error(PointMap, INTERVAL, INTERVAL, "piecewise", None, None, breakpoints) == message
+    assert _fraction_piecewise_error(tuple((Fraction(x), Fraction(y)) for x, y in breakpoints)) == message
+
+
+def test_every_map_refuses_points_outside_its_domain():
+    grid = grid_map(2)
+    # True and int 1 hash and compare like the key Fraction(1), yet are no points of [0, 1]
+    for point in (True, 1):
+        with pytest.raises(ValueError, match=rf"^point {point} is outside the map domain$"):
+            grid.apply(point)
+        for h in (_scaling(HALF), extend_partial_contraction(PartialContraction((0, HALF), (0, Q)))):
+            with pytest.raises(ValueError, match=rf"^point {point} is outside \[0, 1\]$"):
+                h.apply(point)
+    assert grid.apply(Fraction(1)) == "f2" and grid.apply(Fraction(0)) == "e"
+    swap = PointMap(STAR3, STAR3, "table", table={"e": "e", "e1": "e2"})
+    with pytest.raises(ValueError, match=r"^point x9 is outside the map domain$"):
+        swap.apply("x9")
+    with pytest.raises(ValueError, match=r"^point e2 is outside the map domain$"):
+        swap.apply("e2")  # in the domain, but the table gives no image
+    assert swap.apply("e1") == "e2"
 
 
 def test_scaling_norm_law_single_letter():

@@ -13,6 +13,7 @@ mutation of the named functions (``Class.method`` for a method):
   ``==`` and ``!=``;
 * ``+`` and ``-`` swapped, in an expression or an augmented assignment;
 * a ``range`` bound (its start or stop) moved by one, up or down;
+* a ``.numerator`` read swapped with ``.denominator``, and back;
 * a ``continue`` or ``break`` dropped;
 * an ``if`` branch dropped: its body, or its ``else`` when it has one.
 
@@ -52,6 +53,7 @@ MEMORY_BYTES = 1 << 30  # a mutant that loops while it allocates fails, not the 
 
 _FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
 _SIGNS = {ast.Add: ast.Sub, ast.Sub: ast.Add}
+_PARTS = {"numerator": "denominator", "denominator": "numerator"}
 _SYMBOLS = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-"
 }
@@ -92,6 +94,9 @@ def _node_sites(index: int, node: ast.AST) -> Iterator[tuple[int, str, tuple]]:
         for k, arg in enumerate(node.args[:2]):  # the start and stop, not the step
             for step in ("+", "-"):
                 yield index, f"{line}: range bound {ast.unparse(arg)} {step} 1", ("range", k, step)
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in _PARTS:
+        new = _PARTS[node.attr]
+        yield index, f"{line}: .{node.attr} -> .{new}", ("attr", new)
     elif isinstance(node, (ast.Continue, ast.Break)):
         yield index, f"{line}: {type(node).__name__.lower()} dropped", ("drop",)
     elif isinstance(node, ast.If):
@@ -110,6 +115,8 @@ def _apply(func: ast.FunctionDef, index: int, change: tuple) -> ast.FunctionDef:
         node.ops[change[1]] = change[2]()
     elif kind == "op":
         node.op = change[1]()
+    elif kind == "attr":
+        node.attr = change[1]
     elif kind == "range":
         op = ast.Add() if change[2] == "+" else ast.Sub()
         node.args[change[1]] = ast.BinOp(left=node.args[change[1]], op=op, right=ast.Constant(1))
