@@ -1,22 +1,21 @@
 """Seeded property suites over every part of the library.
 
-Every property is a stream of outcomes, ``None`` for a case that holds and a
-counterexample for one that fails, counted by ``_tally``.  ``_run`` makes the
-stream for a random property: case i calls its check with the property's own
-generator, seeded by (seed, name), and ``cycle[i % len(cycle)]``, the space or
-star rank the case is about (``None`` if the check needs neither), so a
-(seed, cases) pair pins the whole run byte for byte.  The exhaustive
-properties stream a fixed list of cases whatever the case count.  Results
-carry pass/fail counts and the first counterexample; the CLI renders them as
-a table and the acceptance tests re-run them at larger case counts.
+Each ``*_suite(seed, cases)`` returns its properties as a list of
+zero-argument calls.  A call runs a stream of outcomes, ``None`` for a case
+that holds and a counterexample for one that fails, and ``_tally`` counts
+them.  ``_run`` makes the call for a random property: case i calls its check
+with the property's own generator, seeded by (seed, name), and
+``cycle[i % len(cycle)]``, the space or star rank the case is about (``None``
+if the check needs neither), so a (seed, cases) pair pins the whole run byte
+for byte.  The exhaustive properties stream a fixed list of cases whatever the
+case count.  A call makes its generator and its stream anew, so calling it
+again gives the same result: the pass/fail counts and first counterexample.
 
-``run_suite`` shares a run among up to ``SUITE_WORKERS_MAX`` processes, one
-per core: it forks the others, every process walks the same properties, and
-at each ``_tally`` a process runs the property only if no other process has
-claimed it (``_Claims``).  The children send back the counts and first
-counterexample of the properties they ran, so the results are those of one
-process, which is what a run that cannot fork, or in which anything fails,
-gives instead.
+``run_suite`` builds the run's list once and shares it among up to
+``SUITE_WORKERS_MAX`` processes, one per core: it forks the others, and each
+process calls only the properties it claims (``_take``).  The children send
+back their results, so a run gives the results of one process, which is what
+a run that cannot fork, or in which anything fails, gives instead.
 """
 
 from __future__ import annotations
@@ -98,12 +97,12 @@ class PropertyResult(Value):
         return self.failures == 0
 
 
+Property = Callable[[], PropertyResult]
+
+
 def _tally(name: str, outcomes: Iterable[Optional[str]]) -> PropertyResult:
     """Count the outcomes and the failures (non-None) among them; keep the
-    first failure.  In a forked run, a property another process claimed is
-    left unrun and reads 0 cases here."""
-    if _claim is not None and not _claim():
-        return PropertyResult(name, 0, 0, None)
+    first failure."""
     cases = failures = 0
     counterexample = None
     for fail in outcomes:
@@ -116,9 +115,12 @@ def _tally(name: str, outcomes: Iterable[Optional[str]]) -> PropertyResult:
 
 
 def _run(name: str, total: int, check: Callable[[random.Random, Any], Optional[str]], seed: int,
-         cycle: Sequence[Any] = (None,)) -> PropertyResult:
-    rng = random.Random(f"{seed}:{name}")
-    return _tally(name, (check(rng, cycle[i % len(cycle)]) for i in range(total)))
+         cycle: Sequence[Any] = (None,)) -> Property:
+    def run() -> PropertyResult:
+        rng = random.Random(f"{seed}:{name}")
+        return _tally(name, (check(rng, cycle[i % len(cycle)]) for i in range(total)))
+
+    return run
 
 
 # random generators
@@ -244,7 +246,7 @@ def _reduce_random_order(rng: random.Random, w: Word, base) -> Word:
 # suites
 
 
-def words_suite(seed: int, cases: int) -> list[PropertyResult]:
+def words_suite(seed: int, cases: int) -> list[Property]:
     triangular = triangular_translation(3)
 
     def reduction_check(rng, space):
@@ -312,7 +314,7 @@ def _tilde_axioms(letters: Sequence[Letter], space: Space) -> Iterator[Optional[
                 yield f"axiom broke at ({format_word(Word((a,)))}, {format_word(Word((b,)))})"
 
 
-def spaces_suite(seed: int, cases: int) -> list[PropertyResult]:
+def spaces_suite(seed: int, cases: int) -> list[Property]:
     def finite_outcomes():
         for space in (star_space(2), star_space(3), chain_space(3)):
             yield from _tilde_axioms(signed_alphabet(space.points), space)
@@ -335,13 +337,13 @@ def spaces_suite(seed: int, cases: int) -> list[PropertyResult]:
         return None
 
     return [
-        _tally("tilde-dist-axioms-finite-exhaustive", finite_outcomes()),
+        lambda: _tally("tilde-dist-axioms-finite-exhaustive", finite_outcomes()),
         _run("tilde-dist-axioms-interval-random", cases, interval_check, seed),
         _run("tilde-dist-sign-rules", cases, sign_rules_check, seed, TEST_SPACES),
     ]
 
 
-def sigma_suite() -> list[PropertyResult]:
+def sigma_suite() -> list[Property]:
     def count_outcome(k):
         got = len(enumerate_sigma(k))
         want = MOTZKIN_1_TO_8[k - 1]
@@ -357,12 +359,12 @@ def sigma_suite() -> list[PropertyResult]:
 
     ks = range(1, len(MOTZKIN_1_TO_8) + 1)
     return [
-        _tally("sigma-motzkin-counts", map(count_outcome, ks)),
-        _tally("sigma-structural-equality", map(structural_outcome, ks)),
+        lambda: _tally("sigma-motzkin-counts", map(count_outcome, ks)),
+        lambda: _tally("sigma-structural-equality", map(structural_outcome, ks)),
     ]
 
 
-def oracle_suite(seed: int, cases: int) -> list[PropertyResult]:
+def oracle_suite(seed: int, cases: int) -> list[Property]:
     def agree_check(rng, space):
         w = random_any_word(rng, space, 8, base_prob=0.05)
         brute = norm_bruteforce(w, space)
@@ -389,7 +391,7 @@ def oracle_suite(seed: int, cases: int) -> list[PropertyResult]:
     ]
 
 
-def norm_suite(seed: int, cases: int) -> list[PropertyResult]:
+def norm_suite(seed: int, cases: int) -> list[Property]:
     def zero_check(rng, space):
         w = random_any_word(rng, space, 8, base_prob=0.2)
         value = graev_norm(w, space)
@@ -476,7 +478,7 @@ def norm_suite(seed: int, cases: int) -> list[PropertyResult]:
     ]
 
 
-def contraction_suite(seed: int, cases: int) -> list[PropertyResult]:
+def contraction_suite(seed: int, cases: int) -> list[Property]:
     def monotone_check(rng, space):
         h = random_contraction(rng, space)
         if not check_contraction(h):
@@ -509,7 +511,7 @@ def contraction_suite(seed: int, cases: int) -> list[PropertyResult]:
     ]
 
 
-def extension_suite(seed: int, cases: int) -> list[PropertyResult]:
+def extension_suite(seed: int, cases: int) -> list[Property]:
     def anchors_check(rng, _):
         partial = random_partial_contraction(rng)
         extended = extend_partial_contraction(partial)
@@ -544,7 +546,7 @@ def extension_suite(seed: int, cases: int) -> list[PropertyResult]:
     ]
 
 
-def decompose_suite(seed: int, cases: int) -> list[PropertyResult]:
+def decompose_suite(seed: int, cases: int) -> list[Property]:
     def equivalence_check(rng, m):
         space = star_space(m)
         w = random_reduced_word(rng, space, 6)
@@ -581,7 +583,7 @@ def decompose_suite(seed: int, cases: int) -> list[PropertyResult]:
     ]
 
 
-def rescale_suite(seed: int, cases: int) -> list[PropertyResult]:
+def rescale_suite(seed: int, cases: int) -> list[Property]:
     def rescale_check(rng, m):
         alphabet = signed_alphabet([Fraction(j, m) for j in range(1, m + 1)])
         length = rng.randint(0, 5)
@@ -609,13 +611,15 @@ def rescale_suite(seed: int, cases: int) -> list[PropertyResult]:
             return f"cross-basis agreement failed at rank {m}"
         return None
 
-    rescale = _run("grid-rescale-norm-law", cases, rescale_check, seed, (2, 3))
-    a = _run("cross-basis-agreement", 2, agreement_check, seed, (2, 3))
-    pairs = n_words * (n_words - 1) // 2  # the word pairs compared at each rank count as cases
-    return [rescale, PropertyResult(a.name, a.cases * pairs, a.failures, a.counterexample)]
+    def agreement():
+        a = _run("cross-basis-agreement", 2, agreement_check, seed, (2, 3))()
+        pairs = n_words * (n_words - 1) // 2  # the word pairs compared at each rank count as cases
+        return PropertyResult(a.name, a.cases * pairs, a.failures, a.counterexample)
+
+    return [_run("grid-rescale-norm-law", cases, rescale_check, seed, (2, 3)), agreement]
 
 
-def pigeonhole_suite(seed: int, cases: int) -> list[PropertyResult]:
+def pigeonhole_suite(seed: int, cases: int) -> list[Property]:
     def pigeonhole_check(rng, m):
         w = random_conjugate_product(rng, m)
         sums = [exponent_sum(w, f"e{i}") for i in range(1, m + 1)]
@@ -644,12 +648,12 @@ def pigeonhole_suite(seed: int, cases: int) -> list[PropertyResult]:
 
     return [
         _run("conjugate-product-pigeonhole", cases, pigeonhole_check, seed, (2, 3, 4, 5)),
-        _tally("obstruction-fires-on-skew-powers", fires_outcomes()),
+        lambda: _tally("obstruction-fires-on-skew-powers", fires_outcomes()),
         _run("obstruction-silent-on-reducible-words", cases, silent_check, seed, (2, 3, 4)),
     ]
 
 
-SELECTIONS: dict[str, Callable[[int, int], list[PropertyResult]]] = {
+SELECTIONS: dict[str, Callable[[int, int], list[Property]]] = {
     "words": words_suite,
     "spaces": spaces_suite,
     "sigma": lambda seed, cases: sigma_suite(),
@@ -664,56 +668,14 @@ SELECTIONS: dict[str, Callable[[int, int], list[PropertyResult]]] = {
 
 
 # A run forks only at SUITE_FORK_CASES_MIN cases per property or more: on 2
-# cores an "all" run in two processes first beat one at 4 cases (a fork and
-# reap costs ~2.5 ms).  It uses at most SUITE_WORKERS_MAX processes: the
-# children are forked one after another and the longest property is ~10% of
-# an "all" run, so more would not pay (only 2 cores could be measured).
+# cores, "all" runs read 2.9/4.5 ms inline/forked at 1 case, 6.7/7.4 at 3,
+# 7.9/7.5 at 4 and 11.2/9.9 at 6 (medians of 120 alternations).  At most
+# SUITE_WORKERS_MAX processes: children fork one after another and the longest
+# property is ~10% of an "all" run, so more would not pay (2 cores measured).
 SUITE_FORK_CASES_MIN = 4
 SUITE_WORKERS_MAX = 4
 # an "all" run takes ~2 ms a case in one process: 19.3 s at 10 000 cases, 11.0 s on 2 cores
 SUITE_CASES_MAX = 10_000
-
-_claim: Optional[Callable[[], bool]] = None  # set only while a forked run walks its properties
-
-
-class _Claims:
-    """Hands each property of a forked run to the first process that reaches it.
-
-    Every process walks the same properties in the same order and calls this
-    at each one.  The pipe holds one 8-byte message, the index of the first
-    property no process has taken: a process reads it, so the others wait,
-    and writes it back, one higher if it pointed at the caller's own position,
-    which the caller then takes.  Made before the fork, so every process
-    shares the pipe and counts its own positions.  Each suite returns one
-    result per ``_tally`` call, in call order, so a position is also an
-    index into the run's results."""
-
-    def __init__(self) -> None:
-        self.read, self.write = os.pipe()
-        os.write(self.write, bytes(8))
-        self.position = 0
-        self.taken: list[int] = []
-
-    def __call__(self) -> bool:
-        position = self.position
-        self.position += 1
-        free = int.from_bytes(os.read(self.read, 8), "little")
-        mine = free == position
-        os.write(self.write, (free + mine).to_bytes(8, "little"))
-        if mine:
-            self.taken.append(position)
-        return mine
-
-    def close(self) -> None:
-        os.close(self.read)
-        os.close(self.write)
-
-
-def _walk(names: Sequence[str], seed: int, cases: int) -> list[PropertyResult]:
-    results: list[PropertyResult] = []
-    for name in names:
-        results.extend(SELECTIONS[name](seed, cases))
-    return results
 
 
 def _workers(cases: int) -> int:
@@ -727,9 +689,28 @@ def _workers(cases: int) -> int:
     return min(len(os.sched_getaffinity(0)), SUITE_WORKERS_MAX)
 
 
-def _serve(names: Sequence[str], seed: int, cases: int, claims: _Claims, out: int) -> NoReturn:
-    """A forked child's whole life: walk the properties and write the
-    (index, cases, failures, counterexample) of each one it took to ``out``.
+def _claim(counter: tuple[int, int]) -> int:
+    """The index of the first property no process has taken, now taken by
+    the caller.  The ``counter`` pipe holds that index as one 8-byte message:
+    a process reads it, so the others wait, and writes it back one higher."""
+    read, write = counter
+    index = int.from_bytes(os.read(read, 8), "little")
+    os.write(write, (index + 1).to_bytes(8, "little"))
+    return index
+
+
+def _take(properties: Sequence[Property], counter: tuple[int, int]) -> list[tuple]:
+    """Call each property this process claims, until none is left: the
+    (index, name, cases, failures, counterexample) of each."""
+    taken = []
+    while (index := _claim(counter)) < len(properties):
+        result = properties[index]()
+        taken.append((index, result.name, result.cases, result.failures, result.counterexample))
+    return taken
+
+
+def _serve(properties: Sequence[Property], counter: tuple[int, int], out: int) -> NoReturn:
+    """A forked child's whole life: write what ``_take`` returns to ``out``.
     It leaves through ``os._exit`` on every path, so it runs no exit handler
     and flushes no buffer it inherited."""
     import signal
@@ -737,52 +718,49 @@ def _serve(names: Sequence[str], seed: int, cases: int, claims: _Claims, out: in
     status = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
-        results = _walk(names, seed, cases)
-        taken = [(i, results[i].cases, results[i].failures, results[i].counterexample) for i in claims.taken]
+        payload = marshal.dumps(_take(properties, counter))
         with open(out, "wb") as handle:
-            handle.write(marshal.dumps(taken))
+            handle.write(payload)
         status = 0
     finally:
         os._exit(status)
 
 
-def _forked(names: Sequence[str], seed: int, cases: int, workers: int) -> list[PropertyResult]:
-    """``_walk`` shared among this process and ``workers - 1`` forked children.
-    A child that fails sends back nothing or a cut payload, which ``marshal``
-    refuses; a property run twice or never is refused too.  Any failure
-    raises, once every child is killed and reaped."""
-    global _claim
+def _forked(properties: Sequence[Property], workers: int) -> list[PropertyResult]:
+    """The results of ``properties``, called by this process and ``workers - 1``
+    forked children.  A child that fails sends back nothing or a cut payload,
+    which ``marshal`` refuses; a property run twice or never is refused too.
+    Any failure raises, once every child is killed and reaped."""
     import signal
 
-    _claim = claims = _Claims()
+    counter = os.pipe()
     children: dict[int, int] = {}  # pid: read end of its result pipe
     try:
+        os.write(counter[1], bytes(8))
         for _ in range(workers - 1):
             read, write = os.pipe()
             try:
                 pid = os.fork()
                 if pid == 0:
                     os.close(read)
-                    _serve(names, seed, cases, claims, write)
+                    _serve(properties, counter, write)
             except BaseException:
                 os.close(read)
                 raise
             finally:
                 os.close(write)
             children[pid] = read
-        results = _walk(names, seed, cases)
-        done = claims.taken
+        taken = _take(properties, counter)
         for read in children.values():
             with open(read, "rb", closefd=False) as handle:
-                for index, *counts in marshal.loads(handle.read()):
-                    results[index] = PropertyResult(results[index].name, *counts)
-                    done.append(index)
-        if sorted(done) != list(range(len(results))):
+                taken += marshal.loads(handle.read())
+        if sorted(index for index, *_ in taken) != list(range(len(properties))):
             raise ChildProcessError("the suite workers did not run every property once")
-        return results
+        # one name string per property, as in one process, not a copy per result a caller keeps
+        return [PropertyResult(sys.intern(name), *counts) for _, name, *counts in sorted(taken)]
     finally:
-        _claim = None
-        claims.close()
+        for fd in counter:
+            os.close(fd)
         for pid, read in children.items():
             os.close(read)
             os.kill(pid, signal.SIGKILL)  # one that sent its results back is exiting anyway
@@ -804,10 +782,11 @@ def run_suite(select: str = "all", seed: int = 0, cases: int = 100) -> list[Prop
     else:
         known = ", ".join(["all"] + list(SELECTIONS))
         raise ValueError(f"unknown suite selection {select!r} (choose from {known})")
+    properties = [prop for name in names for prop in SELECTIONS[name](seed, cases)]
     workers = _workers(cases)
     if workers > 1:
         try:
-            return _forked(names, seed, cases, workers)
+            return _forked(properties, workers)
         except Exception:
             pass  # a raising property or a failed worker: the run below gives the caller its own result or error
-    return _walk(names, seed, cases)
+    return [prop() for prop in properties]

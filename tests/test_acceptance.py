@@ -107,17 +107,17 @@ def test_criterion_2_sigma_characterization():
 
 
 def test_criterion_3_invariant_norm_suite():
-    results = norm_suite(SEED, 1000)
+    results = [prop() for prop in norm_suite(SEED, 1000)]
     _assert_all_green("criterion 3 (invariant norm suite)", results, "1000 cases per property")
 
 
 def test_criterion_4_contraction_suite():
-    results = contraction_suite(SEED, 500)
+    results = [prop() for prop in contraction_suite(SEED, 500)]
     _assert_all_green("criterion 4 (contractions and transport)", results, "500 cases per property")
 
 
 def test_criterion_5_partial_extension():
-    results = extension_suite(SEED, 1000)
+    results = [prop() for prop in extension_suite(SEED, 1000)]
     _assert_all_green("criterion 5 (piecewise-linear extension)", results, "1000 cases per property")
 
 
@@ -192,7 +192,7 @@ def test_criterion_7_rescaling_and_cross_basis():
 
 
 def test_criterion_8_exponent_obstruction():
-    results = pigeonhole_suite(SEED, 1000)
+    results = [prop() for prop in pigeonhole_suite(SEED, 1000)]
     _assert_all_green("criterion 8 (exponent obstruction)", results, "1000 cases per property")
 
 

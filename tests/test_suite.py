@@ -1,6 +1,7 @@
 """The property runner, the names and case counts the suite reports, and
 the forked run that gives the same results on every core."""
 
+import itertools
 import os
 import random
 import select
@@ -67,7 +68,7 @@ def test_run_counts_failures_and_keeps_the_first_counterexample():
         index = len(draws) - 1
         return f"case {index}" if index in (2, 5, 6) else None
 
-    result = _run("runner-probe", 8, check, 3)
+    result = _run("runner-probe", 8, check, 3)()
     assert (result.name, result.cases, result.failures) == ("runner-probe", 8, 3)
     assert result.counterexample == "case 2" and not result.passed
     # every case draws from the one generator seeded by (seed, name)
@@ -77,7 +78,7 @@ def test_run_counts_failures_and_keeps_the_first_counterexample():
 
 def test_run_hands_each_case_the_next_cycle_value():
     seen = []
-    result = _run("cycle-probe", 7, lambda rng, m: seen.append(m), 0, (2, 3, 4))
+    result = _run("cycle-probe", 7, lambda rng, m: seen.append(m), 0, (2, 3, 4))()
     assert seen == [2, 3, 4, 2, 3, 4, 2]
     assert (result.cases, result.failures, result.counterexample) == (7, 0, None)
 
@@ -119,7 +120,7 @@ def test_a_broken_table_fails_both_axiom_properties_and_the_suite_command(monkey
         return d, scale
 
     monkeypatch.setattr(suite, "_tilde_table", asymmetric)
-    finite, interval, _ = suite.spaces_suite(0, 5)
+    finite, interval, _ = [prop() for prop in suite.spaces_suite(0, 5)]
     # star2's alphabet starts with the base letters e and e^-1, one group element
     assert (finite.cases, finite.counterexample) == (164, "axiom broke at (e, e^-1)")
     assert 0 < finite.failures < finite.cases
@@ -132,36 +133,42 @@ def test_a_broken_table_fails_both_axiom_properties_and_the_suite_command(monkey
     assert lines[-1] == "RESULT: FAIL (3 properties, 3 failing)"
 
 
-# the fewest cases per property at which a run forks
 CASES = suite.SUITE_FORK_CASES_MIN
 
 
 class ForkProbe:
     """Sets the core count ``run_suite`` sees (``cores``), and counts the forks
-    it asks for (``asked``) and the walks over its properties in this process
-    (``walks``: one for a forked run that did not fall back to one process).
-    A fork beyond the workers the core count allows raises in place of
-    forking.  ``first`` picks the process that walks first: "child" keeps
-    the parent waiting until the child has exited, "parent" keeps the child
-    waiting until it is killed (or 10 s)."""
+    it asks for (``asked``), the claim loops this process enters (``takes``:
+    one per forked run) and the forked runs that returned their results
+    (``returns``: none for a run that fell back to one process).  A fork
+    beyond the workers the core count allows raises in place of forking.
+    ``first`` picks the process that takes first: "child" keeps the parent
+    waiting until the child has exited, "parent" keeps the child waiting
+    until it is killed (or 10 s)."""
 
     def __init__(self, monkeypatch):
         self.monkeypatch = monkeypatch
-        self.asked = self.walks = 0
+        self.asked = self.takes = self.returns = 0
         self.first = None
         self.held = []  # this process's ends of the pipes a waiting child reads
-        self.real_fork, self.real_walk = os.fork, suite._walk
+        self.real_fork, self.real_take, self.real_forked = os.fork, suite._take, suite._forked
         monkeypatch.setattr(os, "fork", self.fork)
-        monkeypatch.setattr(suite, "_walk", self.walk)
+        monkeypatch.setattr(suite, "_take", self.take)
+        monkeypatch.setattr(suite, "_forked", self.forked)
         self.cores(2)
 
     def cores(self, n):
         self.workers = min(n, suite.SUITE_WORKERS_MAX)
         self.monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
-    def walk(self, *args):
-        self.walks += 1
-        return self.real_walk(*args)
+    def take(self, *args):
+        self.takes += 1
+        return self.real_take(*args)
+
+    def forked(self, *args):
+        results = self.real_forked(*args)
+        self.returns += 1
+        return results
 
     def fork(self):
         self.asked += 1
@@ -193,26 +200,22 @@ def forks(monkeypatch):
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_every_selection_gives_the_single_process_results_on_any_core_count(forks, cores):
+    forked = int(cores > 1)
     for seed in range(10):
         for selection in ["all", *suite.SELECTIONS]:
             forks.cores(1)
             want = run_suite(selection, seed, CASES)
             forks.cores(cores)
-            forks.asked = forks.walks = 0
+            forks.asked = forks.takes = forks.returns = 0
             assert run_suite(selection, seed, CASES) == want, (selection, seed)
-            assert (forks.asked, forks.walks) == (cores - 1, 1)
+            assert (forks.asked, forks.takes, forks.returns) == (cores - 1, forked, forked)
 
 
-def test_a_run_forks_once_on_two_cores_and_only_where_it_pays(forks, monkeypatch):
-    runs = []  # forked runs, with no fork on one core too
-    forked = suite._forked
-    monkeypatch.setattr(suite, "_forked", lambda *args: runs.append(args) or forked(*args))
-
+def test_a_run_forks_once_on_two_cores_and_only_where_it_pays(forks):
     def asked(cases):
-        forks.asked = 0
-        runs.clear()
+        forks.asked = forks.returns = 0
         run_suite("sigma", 0, cases)
-        return forks.asked, len(runs)
+        return forks.asked, forks.returns  # forked runs, with no fork on one core too
 
     assert (asked(CASES), asked(CASES - 1)) == ((1, 1), (0, 0))
     forks.cores(1)
@@ -227,7 +230,7 @@ def test_a_run_forks_once_on_two_cores_and_only_where_it_pays(forks, monkeypatch
         release.set()
         thread.join(10)
     assert not thread.is_alive() and asked(CASES) == (1, 1)
-    monkeypatch.delattr(os, "sched_getaffinity")
+    forks.monkeypatch.delattr(os, "sched_getaffinity")
     assert asked(CASES) == (0, 0)
 
 
@@ -243,28 +246,84 @@ def test_a_property_that_raises_in_either_process_raises_as_in_one_process(forks
     forks.first = first
     with pytest.raises(RuntimeError, match="cyclic shift broke"):
         run_suite("norm", 0, CASES)
-    # the forked walk, then the one-process run that raised; a waiting parent
+    # the forked run fails, then the one-process run raises; a waiting parent
     # finds the raising property taken by the child and leaves it
-    assert (forks.asked, forks.walks) == (1, 2)
+    assert (forks.asked, forks.takes, forks.returns) == (1, 1, 0)
     assert len(calls) == {"child": 1, "parent": 2}[first]
 
 
 def test_an_interrupt_in_the_parent_ends_the_children_and_the_run(forks, monkeypatch):
+    calls = []  # in this process
+
     def shift(w, k):
+        calls.append(k)
         raise KeyboardInterrupt
 
     monkeypatch.setattr(suite, "cyclic_shift", shift)
     forks.first = "parent"
     with pytest.raises(KeyboardInterrupt):
         run_suite("norm", 0, CASES)
-    assert (forks.asked, forks.walks) == (1, 1)
+    assert (forks.asked, forks.takes, forks.returns, len(calls)) == (1, 1, 0, 1)  # no one-process run follows
 
 
 def test_a_property_run_by_two_processes_sends_the_run_back_to_one(forks, monkeypatch):
     forks.cores(1)
     want = run_suite("words", 0, CASES)
     forks.cores(2)
-    forks.walks = 0
-    monkeypatch.setattr(suite._Claims, "__call__", lambda self: True)  # every process takes everything
+    claims = itertools.count()  # each process counts on its own copy, so every process takes everything
+    monkeypatch.setattr(suite, "_claim", lambda counter: next(claims))
     assert run_suite("words", 0, CASES) == want
-    assert (forks.asked, forks.walks) == (1, 2)
+    assert (forks.asked, forks.takes, forks.returns) == (1, 1, 0)
+
+
+def test_a_forked_run_builds_its_properties_in_the_parent_and_calls_each_once(forks, monkeypatch):
+    forks.cores(1)
+    want = run_suite("all", 0, CASES)
+    forks.cores(2)
+    parent = os.getpid()
+    built = []
+    read, write = os.pipe()  # one byte per property call, in any process
+    os.set_blocking(read, False)
+
+    def counted(prop):
+        def call():
+            os.write(write, b".")
+            return prop()
+
+        return call
+
+    def parent_only(name, build):
+        def wrapped(seed, cases):
+            if os.getpid() != parent:
+                raise RuntimeError(f"the {name} suite was built in a child")
+            built.append(name)
+            return [counted(prop) for prop in build(seed, cases)]
+
+        return wrapped
+
+    for name, build in list(suite.SELECTIONS.items()):
+        monkeypatch.setitem(suite.SELECTIONS, name, parent_only(name, build))
+    try:
+        assert run_suite("all", 0, CASES) == want
+        calls = os.read(read, 1024)
+    finally:
+        os.close(read)
+        os.close(write)
+    assert built == list(suite.SELECTIONS) and calls == b"." * len(want)
+    assert (forks.asked, forks.takes, forks.returns) == (1, 1, 1)
+
+
+def test_forked_runs_share_one_name_string_per_property(forks):
+    runs = []
+    for seed in (0, 1):
+        forks.asked = 0
+        runs.append(run_suite("all", seed, CASES))
+    assert all(a.name is b.name for a, b in zip(*runs))
+    assert forks.returns == 2
+
+
+def test_every_property_gives_the_same_result_when_called_again():
+    for build in suite.SELECTIONS.values():
+        properties = build(0, CASES)
+        first = [prop() for prop in properties]
+        assert [prop() for prop in properties] == first
