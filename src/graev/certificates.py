@@ -3,10 +3,11 @@
 Membership of a word in the subgroup generated by n-th powers of a norm
 ball is witnessed, never decided: a certificate lists base words of norm
 below the radius whose n-th powers multiply to the target, and verification
-just re-checks that.  Non-membership is only ever established by the
-exponent-sum obstruction (``exponent_obstruction``, its text or None),
-which rules out products of few conjugated letters with n-th powers.  The
-bounded search returns a verified certificate or an explicit unknown.
+re-checks that.  Non-membership is only ever shown by the exponent-sum
+obstruction (``exponent_obstruction``), which rules out products of few
+conjugated letters with n-th powers.  The bounded search multiplies words
+coded as tuples of indices into a signed alphabet, skips a certificate whose
+powers pass ``POWER_LETTERS_MAX``, and returns a verified one or unknown.
 
 Conjugate decompositions realise words of small norm over the star space as
 short products of conjugated letters, with the factor count equal to the
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from operator import neg
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .norm import NORM_LENGTH_MAX, check_length, graev_norm, interval_fill, norm_dp
@@ -30,7 +30,6 @@ from .words import (
     Point,
     Word,
     concat,
-    enumerate_reduced_words,
     format_letter,
     format_word,
     free_reduce,
@@ -130,9 +129,9 @@ def conjugate_decomposition_failure(d: ConjugateDecomposition) -> Optional[str]:
             return f"factor letter {format_letter(a)} is outside the alphabet"
         letters += g.letters + (a,) + invert_word(g).letters
     # one reduction of every g a g^-1 in turn, linear in the file's size
-    product = free_reduce(Word(tuple(letters)), "e")
-    if product != free_reduce(d.target, "e"):
-        return _mismatch("factors", product, free_reduce(d.target, "e"))
+    product = free_reduce(Word(tuple(letters)), space.base)
+    if product != free_reduce(d.target, space.base):
+        return _mismatch("factors", product, free_reduce(d.target, space.base))
     return None
 
 
@@ -204,19 +203,8 @@ def transport_certificate(p: PowerCertificate, h: PointMap) -> PowerCertificate:
     )
 
 
-def _candidate_points(w: Word, space: Space) -> Sequence[Point]:
-    if isinstance(space, FiniteSpace):
-        return space.generators
-    pts = sorted({letter.point for letter in w} - {space.base})
-    return pts
-
-
-def _encode(w: Word, code: dict[Point, int]) -> tuple[int, ...]:
-    return tuple(letter.sign * code[letter.point] for letter in w)
-
-
 def _invert(state: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(neg, reversed(state)))
+    return tuple(x ^ 1 for x in reversed(state))
 
 
 def _candidate_word_count(letters: int, max_length: int) -> int:
@@ -233,33 +221,29 @@ def _candidate_word_count(letters: int, max_length: int) -> int:
 
 
 def _candidate_bases(
-    code: dict[Point, int], c: Fraction, max_base_length: int, space: Space
-) -> list[Word]:
-    """The nonempty reduced words over the coded points with norm < c, in
-    canonical order.
-
-    Each norm is the ``norm_dp`` fill over the costs one call of the
-    space's ``integer_costs`` gives for the coded signed alphabet, compared
-    with c times their scale.  N(w^-1) = N(w), so each inverse pair is
-    normed once, at whichever of the two comes first.
-    """
-    keys = [sign * i for i in code.values() for sign in (1, -1)]
-    fixes, pairs, scale = space.integer_costs([Letter(p, sign) for p in code for sign in (1, -1)])
-    fix = dict(zip(keys, fixes))
-    pair = {x: dict(zip(keys, row)) for x, row in zip(keys, pairs)}
+    alphabet: Sequence[Letter], c: Fraction, max_base_length: int, space: Space
+) -> list[tuple[int, ...]]:
+    """The nonempty reduced words over a ``signed_alphabet`` with norm < c,
+    as tuples of its indices (i ^ 1 indexes the inverse of letter i), in
+    canonical order.  Each norm fills the rows and columns of the one
+    ``integer_costs`` table of the alphabet and is compared with c times its
+    scale; N(w^-1) = N(w), so each inverse pair is normed once."""
+    fix, pair, scale = space.integer_costs(alphabet)
     limit = c.numerator * scale  # value / scale < c, in integers
     pending: dict[tuple[int, ...], int] = {}
     out = []
-    for base in enumerate_reduced_words(signed_alphabet(list(code)), max_base_length):
-        if len(base) == 0:
-            continue
-        key = _encode(base, code)
-        value = pending.pop(_invert(key), None)
-        if value is None:
-            costs = [[pair[x][y] for y in key] for x in key]
-            value = pending[key] = interval_fill([fix[x] for x in key], costs)[0]
-        if value * c.denominator < limit:
-            out.append(base)
+    frontier: list[tuple[int, ...]] = [()]
+    for _ in range(max_base_length):
+        frontier = [
+            key + (x,) for key in frontier for x in range(len(alphabet)) if not key or key[-1] != x ^ 1
+        ]
+        for key in frontier:
+            value = pending.pop(_invert(key), None)
+            if value is None:
+                costs = [[pair[x][y] for y in key] for x in key]
+                value = pending[key] = interval_fill([fix[x] for x in key], costs)[0]
+            if value * c.denominator < limit:
+                out.append(key)
     return out
 
 
@@ -274,21 +258,20 @@ def search_power_certificate(
     """Breadth-first search for a power certificate within the budget.
 
     Candidate bases are the reduced words of bounded length and norm < c
-    over the space's generators (over the interval: over the points that
-    occur in the target), in the canonical order of
-    ``enumerate_reduced_words``.  Level k multiplies each new state of
-    level k-1, in the order found, by the n-th power of each candidate in
-    turn, so the certificate returned is the first one in breadth-first
-    candidate order.  Returns that certificate after verifying it, or None,
+    over the space's generators (over the interval: the points of ``w``
+    before reduction), in the canonical order of ``enumerate_reduced_words``.
+    Level k multiplies each new state of level k-1, in the order found, by
+    the n-th power of each candidate in turn.  Returns, after verifying it,
+    the first certificate in that breadth-first order whose powers have at
+    most ``POWER_LETTERS_MAX`` letters (one over it is skipped), or None,
     which means unknown within budget, never non-membership.
 
-    A state is a reduced word coded as a tuple of nonzero ints, the sign
-    times the 1-based index of the point, so a product only cancels at the
-    junction and the seen set hashes plain tuples.  The last factor is
+    A state is a reduced word as a tuple of indices into the signed
+    alphabet, where i ^ 1 is the inverse of i, so a product only cancels at
+    the junction and the seen set hashes plain tuples.  The last factor is
     looked up, not multiplied: n-th roots in a free group are unique, so a
     state s reaches the target with at most one candidate, the one whose
-    power is s^-1 * target.  Only levels below ``max_factors`` are
-    expanded and stored.
+    power is s^-1 * target; only levels below ``max_factors`` are stored.
 
     Before the first level, a budget is refused that enumerates more than
     ``SEARCH_WORDS_MAX`` candidate words, norms a candidate of more than
@@ -307,31 +290,34 @@ def search_power_certificate(
     if len(target) == 0:
         return PowerCertificate(n=n, c=c, target=target, bases=())
 
-    code = {p: i for i, p in enumerate(_candidate_points(w, space), 1)}
-    if any(letter.point not in code for letter in target):
+    points = space.generators if isinstance(space, FiniteSpace) else sorted({x.point for x in w} - {space.base})
+    alphabet = signed_alphabet(points)
+    index = {(x.point, x.sign): i for i, x in enumerate(alphabet)}
+    goal = tuple(index.get((x.point, x.sign)) for x in target)
+    if None in goal:
         return None  # products of candidate powers never leave the alphabet
-    if _candidate_word_count(2 * len(code), max_base_length) > SEARCH_WORDS_MAX:
+    if _candidate_word_count(len(alphabet), max_base_length) > SEARCH_WORDS_MAX:
         raise ValueError(
-            f"base length {clip(str(max_base_length))} over {2 * len(code)} signed letters is above "
+            f"base length {clip(str(max_base_length))} over {len(alphabet)} signed letters is above "
             f"the limit of {SEARCH_WORDS_MAX} candidate words"
         )
     if max_base_length > NORM_LENGTH_MAX:  # each candidate is normed
         raise ValueError(f"base length {max_base_length} is above the limit of {NORM_LENGTH_MAX} letters")
-    goal = _encode(target, code)
-    candidates = _candidate_bases(code, c, max_base_length, space)
+    keys = _candidate_bases(alphabet, c, max_base_length, space)
+    candidates = [Word(tuple(alphabet[x] for x in key)) for key in keys]
     letters = n * sum(map(len, candidates))
     if letters > POWER_LETTERS_MAX:
         raise ValueError(f"the candidate powers have {letters} letters, above the limit of {POWER_LETTERS_MAX}")
     powers = []
     root: dict[tuple[int, ...], int] = {}
     for j, base in enumerate(candidates):
-        power = _encode(word_power(base, n, space.base), code)
+        power = tuple(index[x.point, x.sign] for x in word_power(base, n, space.base))
         if root.setdefault(power, j) != j:
             raise RuntimeError(
                 f"candidates '{format_word(candidates[root[power]])}' and "
                 f"'{format_word(base)}' have the same power (exponent {n})"
             )
-        powers.append((power, tuple(map(neg, power))))
+        powers.append((power, tuple(x ^ 1 for x in power)))
 
     frontier: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
     seen = {()}
@@ -344,6 +330,8 @@ def search_power_certificate(
             j = root.get(_invert(state[i:]) + goal[i:])
             if j is not None:
                 bases = tuple(candidates[x] for x in used + (j,))
+                if n * sum(map(len, bases)) > POWER_LETTERS_MAX:
+                    continue  # over the limit: skipped, and the search goes on
                 found = PowerCertificate(n=n, c=c, target=target, bases=bases)
                 failure = power_certificate_failure(found, space)
                 if failure is not None:
@@ -354,10 +342,10 @@ def search_power_certificate(
         nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
         for state, used in frontier.items():
             k = len(state)
-            for j, (power, negated) in enumerate(powers):
+            for j, (power, inverses) in enumerate(powers):
                 # both sides are reduced, so letters cancel only at the junction
                 i, most = 0, min(k, len(power))
-                while i < most and state[k - 1 - i] == negated[i]:
+                while i < most and state[k - 1 - i] == inverses[i]:
                     i += 1
                 reached = state[: k - i] + power[i:]
                 if reached not in seen:
@@ -390,9 +378,9 @@ def exponent_obstruction(w: Word, m: int, n: int) -> Optional[str]:
     for letter in w:
         if not space.contains(letter.point):
             raise ValueError(f"letter point {letter.point!r} is not among e1..e{m}")
-    sums = [exponent_sum(w, f"e{i}") for i in range(1, m + 1)]
+    sums = [exponent_sum(w, g) for g in space.generators]
     if all(s % n != 0 for s in sums):
-        inner = ", ".join(f"f_e{i} = {s}" for i, s in enumerate(sums, 1))
+        inner = ", ".join(f"f_{g} = {s}" for g, s in zip(space.generators, sums))
         return f"exponent sums ({inner}) are all nonzero mod {n}"
     return None
 

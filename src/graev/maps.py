@@ -235,9 +235,9 @@ def grid_map(m: int) -> PointMap:
     Multiplies every distance by exactly m.
     """
     target = chain_space(m)
-    table: dict[Point, Point] = {Fraction(0): "e"}
-    for k in range(1, m + 1):
-        table[Fraction(k, m)] = f"f{k}"
+    table: dict[Point, Point] = {Fraction(0): target.base}
+    for k, g in enumerate(target.generators, 1):
+        table[Fraction(k, m)] = g
     return PointMap(INTERVAL, target, TABLE, table=table)
 
 
@@ -295,12 +295,11 @@ def translate_word(w: Word, mapping: Mapping[Point, Word], source_base: Point, t
 def triangular_translation(m: int) -> BasisTranslation:
     """The chain/star correspondence f_i <-> e1...ei of rank m."""
     chain, star = chain_space(m), star_space(m)
-    a_to_b = {
-        f"f{i}": Word(tuple(Letter(f"e{j}") for j in range(1, i + 1))) for i in range(1, m + 1)
-    }
-    b_to_a: dict[Point, Word] = {"e1": Word((Letter("f1"),))}
-    for i in range(2, m + 1):
-        b_to_a[f"e{i}"] = Word((Letter(f"f{i - 1}", -1), Letter(f"f{i}")))
+    f, e = chain.generators, star.generators
+    a_to_b = {f[i]: Word(tuple(map(Letter, e[: i + 1]))) for i in range(m)}
+    b_to_a: dict[Point, Word] = {e[0]: Word((Letter(f[0]),))}
+    for i in range(1, m):
+        b_to_a[e[i]] = Word((Letter(f[i - 1], -1), Letter(f[i])))
     return BasisTranslation(chain, star, a_to_b, b_to_a)
 
 

@@ -207,7 +207,7 @@ def random_conjugate_product(rng: random.Random, m: int) -> Word:
     for _ in range(m - 1):
         g = random_reduced_word(rng, space, 3)
         a = random_letter(rng, space, base_prob=0.15)
-        product = concat(product, conjugate(g, Word((a,)), "e"), "e")
+        product = concat(product, conjugate(g, Word((a,)), space.base), space.base)
     return product
 
 
@@ -622,26 +622,29 @@ def rescale_suite(seed: int, cases: int) -> list[Property]:
 def pigeonhole_suite(seed: int, cases: int) -> list[Property]:
     def pigeonhole_check(rng, m):
         w = random_conjugate_product(rng, m)
-        sums = [exponent_sum(w, f"e{i}") for i in range(1, m + 1)]
+        sums = [exponent_sum(w, g) for g in star_space(m).generators]
         if 0 not in sums:
             return f"no zero exponent sum in '{format_word(w)}' (sums {sums})"
         return None
 
     def fires_outcomes():
+        star = star_space(2)
+        x = Word(tuple(map(Letter, star.generators)))
         for n in (3, 5):
             for k in range(1, n):
-                w = word_power(Word((Letter("e1"), Letter("e2"))), k, "e")
+                w = word_power(x, k, star.base)
                 if exponent_obstruction(w, 2, n) is None:
-                    yield f"no obstruction for (e1 e2)^{k} with n={n}"
+                    yield f"no obstruction for ({format_word(x)})^{k} with n={n}"
                 else:
                     yield None
 
     def silent_check(rng, m):
         n = rng.choice((3, 5))
         w = random_conjugate_product(rng, m)
+        space = star_space(m)
         for _ in range(rng.randint(0, 2)):
-            x = random_reduced_word(rng, star_space(m), 3)
-            w = concat(w, word_power(x, n, "e"), "e")
+            x = random_reduced_word(rng, space, 3)
+            w = concat(w, word_power(x, n, space.base), space.base)
         if exponent_obstruction(w, m, n) is not None:
             return f"obstruction fired on a reducible word '{format_word(w)}'"
         return None

@@ -523,15 +523,16 @@ def test_candidates_are_the_bases_of_norm_below_c():
         (INTERVAL, [Fraction(1, 3), Fraction(2, 5), Fraction(6, 7)], 3),
     )
     for space, points, max_base_length in cases:
-        code = {p: i for i, p in enumerate(points, 1)}
-        words = [x for x in enumerate_reduced_words(signed_alphabet(points), max_base_length) if len(x)]
+        alphabet = signed_alphabet(points)
+        words = [x for x in enumerate_reduced_words(alphabet, max_base_length) if len(x)]
         norms = {x: graev_norm(x, space) for x in words}
         values = sorted(set(norms.values()))
         # every candidate norm as the radius, and a radius between each two
         radii = values + [(a + b) / 2 for a, b in zip(values, values[1:])] + [values[-1] + 1]
         for c in radii:
             expected = [x for x in words if norms[x] < c]
-            assert certificates._candidate_bases(code, c, max_base_length, space) == expected, (space, c)
+            keys = certificates._candidate_bases(alphabet, c, max_base_length, space)
+            assert [Word(tuple(alphabet[x] for x in key)) for key in keys] == expected, (space, c)
 
 
 def test_search_raises_when_two_candidates_share_a_power(monkeypatch):
@@ -586,6 +587,26 @@ def test_search_refuses_the_candidate_powers_before_building_one(monkeypatch):
     with pytest.raises(ValueError):
         search_power_certificate(parse_word("e1 e2", STAR3), Fraction(2), 3, 1, 1, STAR3)
     assert built == []
+
+
+def test_search_answers_a_target_outside_the_alphabet_before_its_budget():
+    # no product of candidate powers has a letter outside the space, so the
+    # search answers None before it checks a budget the word limit refuses
+    target = Word((Letter("e1"), Letter("x")))
+    assert search_power_certificate(target, Fraction(2), 3, 3, 12, STAR3) is None
+    with pytest.raises(ValueError, match="candidate words"):
+        search_power_certificate(Word((Letter("e1"),)), Fraction(2), 3, 3, 12, STAR3)
+
+
+def test_search_skips_a_certificate_over_the_power_letter_limit(monkeypatch):
+    # the cubes of the candidates 1/2 and 1/2^-1 have 6 letters in all, but
+    # the one certificate of (1/2)^9 within three factors, (1/2, 1/2, 1/2), has 9
+    target = parse_word(" ".join(["1/2"] * 9), INTERVAL)
+    half = parse_word("1/2", INTERVAL)
+    monkeypatch.setattr(certificates, "POWER_LETTERS_MAX", 9)
+    assert search_power_certificate(target, Fraction(1), 3, 3, 1, INTERVAL).bases == (half, half, half)
+    monkeypatch.setattr(certificates, "POWER_LETTERS_MAX", 8)
+    assert search_power_certificate(target, Fraction(1), 3, 3, 1, INTERVAL) is None
 
 
 def test_exponent_sum_examples():

@@ -283,6 +283,13 @@ def test_search_refuses_an_enumeration_over_the_candidate_word_limit(capsys):
     assert err == f"error: base length 12 over 6 signed letters is above the limit of {SEARCH_WORDS_MAX} candidate words\n"
 
 
+def test_search_takes_the_interval_points_of_the_word_before_reduction(capsys):
+    # 1/3 1/3^-1 reduces away, yet 1/3 stays a candidate point: 4 signed letters, not 2
+    code, out, err = run_cli(capsys, "search", "1/3 1/3^-1 1/2", "--c", "1", "--budget-length", "13")
+    assert (code, out) == (2, "")
+    assert err == f"error: base length 13 over 4 signed letters is above the limit of {SEARCH_WORDS_MAX} candidate words\n"
+
+
 def test_search_accepts_zero_budgets(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -12,6 +12,7 @@ mutation of the named functions (``Class.method`` for a method):
 * a comparison flipped between ``<`` and ``<=``, ``>`` and ``>=``, or
   ``==`` and ``!=``;
 * ``+`` and ``-`` swapped, in an expression or an augmented assignment;
+* ``^`` and ``|`` swapped, likewise;
 * a ``range`` bound (its start or stop) moved by one, up or down;
 * a ``.numerator`` read swapped with ``.denominator``, and back;
 * a ``continue`` or ``break`` dropped;
@@ -52,10 +53,11 @@ ROOT = Path(__file__).resolve().parent.parent
 MEMORY_BYTES = 1 << 30  # a mutant that loops while it allocates fails, not the machine
 
 _FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
-_SIGNS = {ast.Add: ast.Sub, ast.Sub: ast.Add}
+_SIGNS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.BitXor: ast.BitOr, ast.BitOr: ast.BitXor}
 _PARTS = {"numerator": "denominator", "denominator": "numerator"}
 _SYMBOLS = {
-    ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-"
+    ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
+    ast.Add: "+", ast.Sub: "-", ast.BitXor: "^", ast.BitOr: "|",
 }
 
 
